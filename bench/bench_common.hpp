@@ -42,19 +42,6 @@ inline int bench_jobs() {
   return hardware_jobs();
 }
 
-// Episode lanes per worker for cross-episode batched inference:
-// ADSEC_LANES overrides, default 8. Lane-batched runs are bit-identical to
-// serial ones for any lane count (see runtime/lane_scheduler.hpp), so like
-// ADSEC_JOBS this only changes wall-clock time.
-inline int bench_lanes() {
-  const char* env = std::getenv("ADSEC_LANES");
-  if (env != nullptr && *env != '\0') {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 8;
-}
-
 // Machine-readable mirror of everything a bench binary prints. Each bench
 // calls bench_init("<name>") once at the top of main; every table that goes
 // through maybe_write_csv is also recorded here, and at process exit (or an

@@ -47,11 +47,8 @@ SweepResult sweep_agent(const std::string& label, const AgentFactory& make_agent
     }
     // Seeds match the serial sweep: episode r of budget bi uses
     // kEvalSeedBase + 1000*bi + r, and the batch comes back in r order.
-    // Lane-batched inference (ADSEC_LANES) shares one policy forward
-    // across in-flight episodes without changing any result bit.
     ParallelEvalOptions run_opts;
     run_opts.jobs = bench_jobs();
-    run_opts.batch_lanes = bench_lanes();
     run_opts.with_reference = true;
     const auto ms = run_batch_parallel(
         make_agent, make_attacker, cfg, rounds,

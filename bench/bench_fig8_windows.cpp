@@ -59,14 +59,11 @@ EffortWindowStats sweep(const AgentForBudget& agent_for_budget,
             attack_policy, budget, zoo().camera(), zoo().frame_stack());
       };
     }
-    // Same seeds as the serial sweep: kEvalSeedBase + 1000*bi + r. Lane
-    // batching (ADSEC_LANES) is bit-neutral, like ADSEC_JOBS.
-    ParallelEvalOptions run_opts;
-    run_opts.jobs = bench_jobs();
-    run_opts.batch_lanes = bench_lanes();
+    // Same seeds as the serial sweep: kEvalSeedBase + 1000*bi + r.
     const auto ms = run_batch_parallel(
         agent_for_budget(budget), make_attacker, cfg, rounds,
-        kEvalSeedBase + 1000 * static_cast<std::uint64_t>(bi), run_opts);
+        kEvalSeedBase + 1000 * static_cast<std::uint64_t>(bi),
+        /*with_reference=*/false, bench_jobs());
     for (const EpisodeMetrics& m : ms) {
       efforts.push_back(m.attack_effort);
       successes.push_back(m.side_collision);

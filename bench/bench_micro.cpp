@@ -10,7 +10,6 @@
 #include <cmath>
 #include <functional>
 
-#include "agents/e2e_agent.hpp"
 #include "agents/modular_agent.hpp"
 #include "bench_common.hpp"
 #include "core/experiment.hpp"
@@ -134,52 +133,6 @@ BENCHMARK(BM_EpisodeBatch)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// The e2e workload the lane scheduler was built for: a fleet of identical
-// policy agents whose per-step GEMV collapses into one batched GEMM across
-// in-flight episodes. Arg is the lane count (1 = the serial per-episode
-// decide() loop); items/sec == episodes/sec. Results are bit-identical at
-// every lane count — this measures throughput only. The policy is wider
-// than the zoo's e2e nets so the workload is inference-bound: per-row GEMV
-// streams the full 512-wide weight panels from memory every step, which is
-// exactly the traffic the batched GEMM amortizes across lanes.
-const GaussianPolicy& bench_e2e_policy() {
-  static const GaussianPolicy policy = [] {
-    Rng rng(25);
-    const int obs_dim = StackedCameraObserver({}, 3).dim();
-    return GaussianPolicy::make_mlp(obs_dim, {512, 512}, 2, rng);
-  }();
-  return policy;
-}
-
-AgentFactory bench_e2e_factory() {
-  return [] {
-    return std::make_unique<E2EAgent>(bench_e2e_policy(), CameraConfig{}, 3);
-  };
-}
-
-void BM_BatchedDecide(benchmark::State& state) {
-  const int lanes = static_cast<int>(state.range(0));
-  // Enough episodes that per-lane fleet construction (each agent clones the
-  // policy) amortizes away and the steady-state batched forward dominates.
-  constexpr int kEpisodes = 128;
-  const ExperimentConfig cfg;
-  const AgentFactory make_agent = bench_e2e_factory();
-  ParallelEvalOptions opts;
-  opts.jobs = 1;
-  opts.batch_lanes = lanes;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_batch_parallel(make_agent, AttackerFactory{}, cfg, kEpisodes, 1, opts));
-  }
-  state.SetItemsProcessed(state.iterations() * kEpisodes);
-}
-BENCHMARK(BM_BatchedDecide)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(16)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -516,39 +469,6 @@ void write_simd_kernels_table() {
   bench::maybe_write_csv(t, "simd_kernels");
 }
 
-// Serial-vs-batched episode throughput on the active tier: the BM_BatchedDecide
-// workload (128 e2e episodes, one process) executed with batch_lanes=1 and
-// with the lane scheduler gathering 8/16 in-flight episodes into one policy
-// forward. Acceptance floor: >= 1.5x at 8 lanes on an AVX2 host.
-void write_batched_decide_table() {
-  const ExperimentConfig cfg;
-  const AgentFactory make_agent = bench_e2e_factory();
-  const auto run_ns = [&](int lanes) {
-    ParallelEvalOptions opts;
-    opts.jobs = 1;
-    opts.batch_lanes = lanes;
-    return measure_ns_scaled(
-        [&] {
-          benchmark::DoNotOptimize(run_batch_parallel(
-              make_agent, AttackerFactory{}, cfg, 128, 1, opts));
-        },
-        2);
-  };
-
-  Table t({"op", "serial_ns", "batched_ns", "speedup"});
-  const double serial_ns = run_ns(1);
-  for (const int lanes : {8, 16}) {
-    const double batched_ns = run_ns(lanes);
-    const std::string op = "e2e_128ep_lanes" + std::to_string(lanes);
-    t.add_row({op, fmt(serial_ns, 0), fmt(batched_ns, 0),
-               fmt(serial_ns / batched_ns, 2)});
-    std::printf("batched decide: %-18s serial %12.0f ns  batched %12.0f ns  "
-                "speedup %5.2fx\n",
-                op.c_str(), serial_ns, batched_ns, serial_ns / batched_ns);
-  }
-  bench::maybe_write_csv(t, "batched_decide");
-}
-
 // Kernel telemetry for one representative gradient step: gemm/gemv call and
 // FLOP tallies plus the workspace pool footprint, mirrored into
 // BENCH_micro.json so perf regressions show up as count changes too.
@@ -640,7 +560,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   adsec::write_gemm_kernels_table();
   adsec::write_simd_kernels_table();
-  adsec::write_batched_decide_table();
   adsec::write_nn_counter_table();
   adsec::write_overhead_table();
   return 0;

@@ -22,29 +22,10 @@ void E2EAgent::reset(const World& world) { observer_.reset(world); }
 Action E2EAgent::decide(const World& world) {
   obs_mat_.resize(1, observer_.dim());
   observer_.observe_into(world, obs_mat_.row(0));
-  policy_forward(obs_mat_, act_mat_);
+  policy_.mean_action_into(obs_mat_, act_mat_);
   Action act;
   act.steer_variation = act_mat_(0, 0);
   act.thrust_variation = act_mat_(0, 1);
-  return act;
-}
-
-void E2EAgent::stage_observation(const World& world, std::span<double> row) {
-  observer_.observe_into(world, row);
-}
-
-void E2EAgent::policy_forward(const Matrix& obs, Matrix& act) const {
-  if (!packed_) {
-    policy_.prepack_weights(packs_);
-    packed_ = true;
-  }
-  policy_.mean_action_into(obs, act, packs_);
-}
-
-Action E2EAgent::action_from_row(std::span<const double> row) const {
-  Action act;
-  act.steer_variation = row[0];
-  act.thrust_variation = row[1];
   return act;
 }
 

@@ -25,8 +25,9 @@ struct ExperimentConfig {
   BehaviorConfig reference_planner;  // privileged planner for reward/reference
 };
 
-// One episode, decomposed so a scheduler can interleave many in-flight
-// episodes (runtime/lane_scheduler.hpp): construction seeds the world and
+// One episode, step by step — the single place every episode runs,
+// whether through run_batch, the parallel pool (runtime/parallel_eval.hpp),
+// a served request, or a grid cell. Construction seeds the world and
 // resets the actors; step() advances one control cycle given the agent's
 // decided action for the CURRENT world state; finish() extracts the
 // metrics once the episode is over. run_episode() below is exactly
@@ -35,8 +36,7 @@ struct ExperimentConfig {
 //   while (r.running()) r.step(agent.decide(r.world()));
 //   return r.finish(traj_out);
 //
-// so interleaved and straight-line execution are bit-identical. `config`
-// is held by reference and must outlive the runner.
+// `config` is held by reference and must outlive the runner.
 class EpisodeRunner {
  public:
   EpisodeRunner(DrivingAgent& agent, Attacker* attacker,

@@ -34,22 +34,6 @@ Action PnnSwitchedAgent::decide(const World& world) {
   return act;
 }
 
-void PnnSwitchedAgent::stage_observation(const World& world, std::span<double> row) {
-  observer_.observe_into(world, row);
-}
-
-void PnnSwitchedAgent::policy_forward(const Matrix& obs, Matrix& act) const {
-  const GaussianPolicy& active = using_adversarial_column() ? pnn_column_ : original_;
-  active.mean_action_into(obs, act);
-}
-
-Action PnnSwitchedAgent::action_from_row(std::span<const double> row) const {
-  Action act;
-  act.steer_variation = row[0];
-  act.thrust_variation = row[1];
-  return act;
-}
-
 std::string PnnSwitchedAgent::name() const {
   return "pnn-sigma=" + fmt(sigma_, 1);
 }

@@ -9,18 +9,13 @@
 #pragma once
 
 #include "agents/agent.hpp"
-#include "agents/batch_policy.hpp"
 #include "defense/finetune.hpp"
 #include "nn/gaussian_policy.hpp"
 #include "sensors/camera.hpp"
 
 namespace adsec {
 
-// Batchable (BatchPolicy): the switcher picks a column from the attack-
-// budget estimate, which is fixed for a whole episode (and identical
-// across factory-built lane agents), so decide() is still one fixed
-// forward per step and a lane fleet shares a single batched GEMM.
-class PnnSwitchedAgent : public DrivingAgent, public BatchPolicy {
+class PnnSwitchedAgent : public DrivingAgent {
  public:
   PnnSwitchedAgent(GaussianPolicy original, GaussianPolicy pnn_column, double sigma,
                    const CameraConfig& camera = {}, int frame_stack = 3);
@@ -28,12 +23,6 @@ class PnnSwitchedAgent : public DrivingAgent, public BatchPolicy {
   void reset(const World& world) override;
   Action decide(const World& world) override;
   std::string name() const override;
-
-  int policy_obs_dim() const override { return observer_.dim(); }
-  int policy_act_dim() const override { return 2; }
-  void stage_observation(const World& world, std::span<double> row) override;
-  void policy_forward(const Matrix& obs, Matrix& act) const override;
-  Action action_from_row(std::span<const double> row) const override;
 
   // Simplex switcher input: the (estimated) attack budget for this episode.
   void set_attack_budget_estimate(double eps) { budget_estimate_ = eps; }

@@ -95,16 +95,6 @@ void GaussianPolicy::mean_action_into(const Matrix& obs, Matrix& out) const {
   }
 }
 
-void GaussianPolicy::mean_action_into(const Matrix& obs, Matrix& out,
-                                      std::vector<WeightPack>& packs) const {
-  auto head = inference_workspace().acquire(obs.rows(), 2 * act_dim_);
-  trunk_->forward_inference_into(obs, *head, packs);
-  out.resize(obs.rows(), act_dim_);
-  for (int i = 0; i < out.rows(); ++i) {
-    for (int j = 0; j < act_dim_; ++j) out(i, j) = std::tanh((*head)(i, j));
-  }
-}
-
 void GaussianPolicy::backward(const Matrix& dL_da, const Matrix& dL_dlogp) {
   if (!cache_.valid) throw std::logic_error("GaussianPolicy::backward: no cached sample");
   const int n = cache_.a.rows();

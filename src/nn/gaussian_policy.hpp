@@ -58,17 +58,6 @@ class GaussianPolicy {
     return out;
   }
 
-  // mean_action_into reusing caller-held pre-packed trunk weights; see
-  // Trunk::forward_inference_into(x, out, packs) for the freshness
-  // contract. Fill `packs` with prepack_weights() while the policy is
-  // frozen (deployed victim policies are); a trunk without a packable
-  // layout leaves packs empty and this degrades to the plain path.
-  void mean_action_into(const Matrix& obs, Matrix& out,
-                        std::vector<WeightPack>& packs) const;
-  void prepack_weights(std::vector<WeightPack>& packs) const {
-    trunk_->prepack_weights(packs);
-  }
-
   // Chain loss gradients through the last sample() into the trunk.
   // dL_da: batch x act_dim; dL_dlogp: batch x 1.
   void backward(const Matrix& dL_da, const Matrix& dL_dlogp);

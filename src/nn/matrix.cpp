@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "nn/kernel_table.hpp"
-#include "nn/simd.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace adsec {
@@ -213,38 +212,14 @@ struct Epilogue {
   bool any() const { return bias != nullptr || act != Activation::Identity; }
 };
 
-// Pack one k-chunk of B into the panel-major [panel][p][nr] layout the
-// microkernel streams, zero-padding the ragged last panel. Shared between
-// the per-call path (thread-local buffer) and pack_weights (persistent
-// WeightPack), so both produce byte-identical panels.
-void pack_b_chunk(double* __restrict dst, BView B, int p0, int kc, int n,
-                  int t_nr) {
-  const int n_panels = (n + t_nr - 1) / t_nr;
-  for (int panel = 0; panel < n_panels; ++panel) {
-    const int j0 = panel * t_nr;
-    const int nr = std::min(t_nr, n - j0);
-    double* __restrict pdst = dst + static_cast<std::size_t>(panel) * kc * t_nr;
-    for (int p = 0; p < kc; ++p) {
-      const double* __restrict src = B.p + (p0 + p) * B.sp + j0 * B.sj;
-      for (int c = 0; c < t_nr; ++c) {
-        pdst[static_cast<std::size_t>(p) * t_nr + c] = c < nr ? src[c * B.sj] : 0.0;
-      }
-    }
-  }
-}
-
 // Core driver: C (m x n, row-major, leading dim n) = or += A * B with the
 // epilogue fused into the final store. The microkernel, GEMV inner loops,
 // and fused epilogue come from the dispatch tier's kernel table (resolved
 // once per process; see simd.hpp); the packing/blocking strategy is shared
 // by every tier. Telemetry tallies calls/FLOPs here so every variant and
 // fast path is counted once.
-// `packed_b`, when non-null, points at B already packed for the active tier
-// in pack_weights layout (chunk p0 at offset p0 * n_panels * nr); the
-// blocked path then skips its per-call B pack. The GEMV fast paths read B
-// directly either way.
 void gemm(double* cdata, int m, int n, int k, AView A, BView B, bool accumulate,
-          Epilogue epi, const double* packed_b = nullptr) {
+          Epilogue epi) {
   static const auto gemm_calls = telemetry::counter("nn.gemm.calls");
   static const auto gemm_flops = telemetry::counter("nn.gemm.flops");
   static const auto gemv_calls = telemetry::counter("nn.gemv.calls");
@@ -306,13 +281,10 @@ void gemm(double* cdata, int m, int n, int k, AView A, BView B, bool accumulate,
   const int t_nr = kt.nr;
   const int n_panels = (n + t_nr - 1) / t_nr;
   const int kc_max = std::min(k, kKernelKc);
-  double* bbuf = nullptr;
-  if (packed_b == nullptr) {
-    ensure_capacity(tl_pack_b, static_cast<std::size_t>(n_panels) * t_nr * kc_max);
-    bbuf = tl_pack_b.data();
-  }
+  ensure_capacity(tl_pack_b, static_cast<std::size_t>(n_panels) * t_nr * kc_max);
   ensure_capacity(tl_pack_a,
                   static_cast<std::size_t>((kMc + t_mr - 1) / t_mr) * t_mr * kc_max);
+  double* const bbuf = tl_pack_b.data();
   double* const abuf = tl_pack_a.data();
 
   for (int p0 = 0; p0 < k; p0 += kKernelKc) {
@@ -320,12 +292,17 @@ void gemm(double* cdata, int m, int n, int k, AView A, BView B, bool accumulate,
     const bool first = p0 == 0;
     const bool last = p0 + kc == k;
 
-    const double* bpanels;
-    if (packed_b != nullptr) {
-      bpanels = packed_b + static_cast<std::size_t>(p0) * n_panels * t_nr;
-    } else {
-      pack_b_chunk(bbuf, B, p0, kc, n, t_nr);
-      bpanels = bbuf;
+    // B panels: panel-major [panel][p][nr], ragged last panel zero-padded.
+    for (int panel = 0; panel < n_panels; ++panel) {
+      const int j0 = panel * t_nr;
+      const int nr = std::min(t_nr, n - j0);
+      double* __restrict dst = bbuf + static_cast<std::size_t>(panel) * kc * t_nr;
+      for (int p = 0; p < kc; ++p) {
+        const double* __restrict src = B.p + (p0 + p) * B.sp + j0 * B.sj;
+        for (int c = 0; c < t_nr; ++c) {
+          dst[static_cast<std::size_t>(p) * t_nr + c] = c < nr ? src[c * B.sj] : 0.0;
+        }
+      }
     }
 
     for (int i0 = 0; i0 < m; i0 += kMc) {
@@ -351,7 +328,7 @@ void gemm(double* cdata, int m, int n, int k, AView A, BView B, bool accumulate,
           const int j0 = panel * t_nr;
           const int nr = std::min(t_nr, n - j0);
           alignas(32) double acc[detail::kMaxMr * detail::kMaxNr] = {};
-          kt.micro(kc, ap, bpanels + static_cast<std::size_t>(panel) * kc * t_nr, acc);
+          kt.micro(kc, ap, bbuf + static_cast<std::size_t>(panel) * kc * t_nr, acc);
 
           const bool add = accumulate || !first;
           const bool fuse = last && epi.any();
@@ -436,48 +413,6 @@ void linear_forward_into(Matrix& y, const Matrix& x, const Matrix& w, const Matr
   prep_dest(y, x.rows(), w.cols(), false, "linear_forward_into");
   gemm(y.data(), x.rows(), w.cols(), x.cols(), {x.data(), x.cols(), 1},
        {w.data(), w.cols(), 1}, false, {b.data(), act});
-}
-
-bool WeightPack::matches(const Matrix& w) const {
-  return k_ == w.rows() && n_ == w.cols() &&
-         tier_ == static_cast<int>(simd::active_tier());
-}
-
-void WeightPack::clear() {
-  panels_.clear();
-  k_ = n_ = tier_ = -1;
-}
-
-void pack_weights(WeightPack& pack, const Matrix& w) {
-  const detail::KernelTable& kt = detail::active_kernel_table();
-  const int k = w.rows();
-  const int n = w.cols();
-  const int t_nr = kt.nr;
-  const int n_panels = (n + t_nr - 1) / t_nr;
-  pack.panels_.resize(static_cast<std::size_t>(n_panels) * t_nr *
-                      static_cast<std::size_t>(k));
-  const BView B{w.data(), w.cols(), 1};
-  for (int p0 = 0; p0 < k; p0 += kKernelKc) {
-    const int kc = std::min(kKernelKc, k - p0);
-    pack_b_chunk(pack.panels_.data() + static_cast<std::size_t>(p0) * n_panels * t_nr,
-                 B, p0, kc, n, t_nr);
-  }
-  pack.k_ = k;
-  pack.n_ = n;
-  pack.tier_ = static_cast<int>(simd::active_tier());
-}
-
-void linear_forward_into(Matrix& y, const Matrix& x, const Matrix& w, const Matrix& b,
-                         Activation act, WeightPack& pack) {
-  if (!pack.matches(w)) pack_weights(pack, w);
-  if (x.cols() != w.rows()) throw std::invalid_argument("matmul: inner dim mismatch");
-  if (b.rows() != 1 || b.cols() != w.cols()) {
-    throw std::invalid_argument("linear_forward: bias shape mismatch");
-  }
-  assert(no_alias(y, x) && no_alias(y, w) && no_alias(y, b));
-  prep_dest(y, x.rows(), w.cols(), false, "linear_forward_into");
-  gemm(y.data(), x.rows(), w.cols(), x.cols(), {x.data(), x.cols(), 1},
-       {w.data(), w.cols(), 1}, false, {b.data(), act}, pack.panels_.data());
 }
 
 void column_sum_into(Matrix& s, const Matrix& m, bool accumulate) {

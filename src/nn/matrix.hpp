@@ -126,51 +126,6 @@ void matmul_nt_into(Matrix& c, const Matrix& a, const Matrix& b, bool accumulate
 void linear_forward_into(Matrix& y, const Matrix& x, const Matrix& w, const Matrix& b,
                          Activation act = Activation::Identity);
 
-// ---- Pre-packed weights (repeated inference forwards) ----------------------
-//
-// The blocked GEMM re-packs its right-hand side into tier-specific panels
-// on every call. Inference forwards multiply by the SAME weight matrix call
-// after call, so for small row counts (one lane batch) the per-call K x N
-// pack traffic rivals the useful FLOPs. A WeightPack holds those panels
-// packed once, ready for every later call.
-//
-// Contract: packing is an explicit caller promise that `w`'s CONTENTS are
-// frozen while the pack is in use — nothing revalidates them, and training
-// updates weights in place through params() pointers, so never hold a pack
-// across an optimizer step. The dispatch tier IS checked: the packed
-// layout depends on the tier's register tile, and the packed overload of
-// linear_forward_into repacks automatically if the active tier changed
-// (so force_tier in tests cannot make kernels read foreign panels).
-// Results are bit-identical with and without a pack: the panels are laid
-// out by the same code either way, and the summation chains are unchanged.
-class WeightPack {
- public:
-  // True when the pack holds panels for `w`'s shape under the active tier.
-  // Contents are NOT compared — see the contract above.
-  bool matches(const Matrix& w) const;
-  void clear();
-
- private:
-  friend void pack_weights(WeightPack& pack, const Matrix& w);
-  friend void linear_forward_into(Matrix& y, const Matrix& x, const Matrix& w,
-                                  const Matrix& b, Activation act,
-                                  WeightPack& pack);
-  AlignedVector panels_;
-  int k_{-1};
-  int n_{-1};
-  int tier_{-1};
-};
-
-// Pack `w` (k x out, the linear_forward orientation) for the active tier.
-void pack_weights(WeightPack& pack, const Matrix& w);
-
-// linear_forward_into reusing pre-packed weights. `pack` must have been
-// built from this `w`; it is rebuilt in place when the active tier (or
-// `w`'s shape) no longer matches. The m < mr GEMV fast path ignores the
-// pack — identical results either way.
-void linear_forward_into(Matrix& y, const Matrix& x, const Matrix& w, const Matrix& b,
-                         Activation act, WeightPack& pack);
-
 // s (1 x cols) = or += column-sum of m (bias gradients).
 void column_sum_into(Matrix& s, const Matrix& m, bool accumulate = false);
 

@@ -63,39 +63,6 @@ void Mlp::forward_inference_into(const Matrix& x, Matrix& out) const {
   }
 }
 
-void Mlp::forward_inference_into(const Matrix& x, Matrix& out,
-                                 std::vector<WeightPack>& packs) const {
-  const int L = num_layers();
-  if (L == 0 || packs.size() != static_cast<std::size_t>(L)) {
-    // Empty net, or packs from another trunk (or none): plain path.
-    forward_inference_into(x, out);
-    return;
-  }
-  if (x.cols() != in_dim()) throw std::invalid_argument("Mlp::forward_inference: dim mismatch");
-  Workspace& ws = inference_workspace();
-  const Matrix* h = &x;
-  Workspace::Lease held;
-  for (int l = 0; l < L; ++l) {
-    const auto ul = static_cast<std::size_t>(l);
-    if (l + 1 == L) {
-      linear_forward_into(out, *h, weights_[ul], biases_[ul], Activation::Identity,
-                          packs[ul]);
-    } else {
-      auto cur = ws.acquire(x.rows(), dims_[ul + 1]);
-      linear_forward_into(*cur, *h, weights_[ul], biases_[ul], act_, packs[ul]);
-      h = &*cur;
-      held = std::move(cur);  // drop the previous layer's scratch, keep this one
-    }
-  }
-}
-
-void Mlp::prepack_weights(std::vector<WeightPack>& packs) const {
-  packs.resize(static_cast<std::size_t>(num_layers()));
-  for (int l = 0; l < num_layers(); ++l) {
-    pack_weights(packs[static_cast<std::size_t>(l)], weights_[static_cast<std::size_t>(l)]);
-  }
-}
-
 const Matrix& Mlp::backward(const Matrix& grad_out) {
   if (!cached_) throw std::logic_error("Mlp::backward: no cached forward");
   Matrix* cur = &gbuf_a_;

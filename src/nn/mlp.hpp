@@ -40,23 +40,6 @@ class Trunk {
     return out;
   }
 
-  // Inference forward reusing caller-held pre-packed weights (WeightPack in
-  // matrix.hpp): one pack per packable layer, filled by prepack_weights().
-  // The caller owns the packs and with them the freshness contract — only
-  // use them while this trunk's parameters are frozen (params() hands out
-  // in-place-mutable pointers the trunk cannot watch). Default: trunks
-  // without a packable layout ignore the packs and leave them empty, so a
-  // frozen-policy caller can prepack unconditionally and fall back for
-  // free.
-  virtual void forward_inference_into(const Matrix& x, Matrix& out,
-                                      std::vector<WeightPack>& packs) const {
-    (void)packs;
-    forward_inference_into(x, out);
-  }
-  virtual void prepack_weights(std::vector<WeightPack>& packs) const {
-    packs.clear();
-  }
-
   // Backprop: accumulates parameter grads, returns grad w.r.t. the input
   // (valid until the next forward()/backward()).
   virtual const Matrix& backward(const Matrix& grad_out) = 0;
@@ -81,9 +64,6 @@ class Mlp : public Trunk {
 
   const Matrix& forward(const Matrix& x) override;
   void forward_inference_into(const Matrix& x, Matrix& out) const override;
-  void forward_inference_into(const Matrix& x, Matrix& out,
-                              std::vector<WeightPack>& packs) const override;
-  void prepack_weights(std::vector<WeightPack>& packs) const override;
   const Matrix& backward(const Matrix& grad_out) override;
 
   void zero_grad() override;

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
-#include "runtime/lane_scheduler.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace adsec {
@@ -38,98 +37,11 @@ std::vector<EpisodeMetrics> run_batch_parallel(const AgentFactory& make_agent,
                                                int episodes, std::uint64_t seed_base,
                                                const ParallelEvalOptions& options) {
   if (episodes <= 0) return {};
-  // Root span for the whole batch: episode spans parent to it (directly on
-  // the serial path, via the pool's context capture on the parallel one),
-  // so one batch is one rooted trace regardless of how work was scheduled.
+  // Root span for the whole batch: episode spans parent to it via the
+  // pool's context capture, so one batch is one rooted trace.
   ADSEC_SPAN("runtime.batch");
   std::vector<EpisodeMetrics> out(static_cast<std::size_t>(episodes));
   const int jobs = options.jobs > 0 ? options.jobs : hardware_jobs();
-
-  if (options.batch_lanes > 1 && episodes > 1) {
-    // Lane-scheduler path: batch the policy forward across in-flight
-    // episodes. Episode k keeps seed_base + k and result slot k, so the
-    // output is bit-identical to the non-batched paths below.
-    std::vector<EpisodeJob> batch(static_cast<std::size_t>(episodes));
-    for (int k = 0; k < episodes; ++k) {
-      auto& job = batch[static_cast<std::size_t>(k)];
-      job.seed = seed_base + static_cast<std::uint64_t>(k);
-      job.with_reference = options.with_reference;
-      job.out = &out[static_cast<std::size_t>(k)];
-    }
-    std::atomic<int> done{0};
-    const auto tick = [&](int) {
-      if (options.on_progress) options.on_progress(done.fetch_add(1) + 1, episodes);
-    };
-
-    if (jobs <= 1) {
-      run_episode_jobs_batched(make_agent, make_attacker, config, batch,
-                               options.batch_lanes, tick);
-      telemetry::emit_event("runtime.batch",
-                            {{"episodes", episodes},
-                             {"jobs", 1},
-                             {"lanes", options.batch_lanes}});
-      return out;
-    }
-
-    // Thread-level parallelism on top: contiguous episode ranges, one per
-    // worker, each running its own lane fleet. Contiguity keeps every
-    // episode's (seed, slot) pairing independent of the split.
-    const int workers = std::min(jobs, episodes);
-    WorkStealingPool pool(workers);
-    std::vector<std::future<void>> pending;
-    pending.reserve(static_cast<std::size_t>(workers));
-    const int base = episodes / workers;
-    const int extra = episodes % workers;
-    int lo = 0;
-    for (int w = 0; w < workers; ++w) {
-      const int len = base + (w < extra ? 1 : 0);
-      const int hi = lo + len;
-      pending.push_back(pool.submit([&, lo, len, w] {
-        if (fault_injector().fire("runtime.worker")) {
-          throw Error(ErrorCode::Internal,
-                      "injected fault in rollout worker (range " +
-                          std::to_string(w) + ")");
-        }
-        run_episode_jobs_batched(
-            make_agent, make_attacker, config,
-            std::span<const EpisodeJob>(batch).subspan(
-                static_cast<std::size_t>(lo), static_cast<std::size_t>(len)),
-            options.batch_lanes, tick);
-      }));
-      lo = hi;
-    }
-    std::exception_ptr first_error;
-    for (auto& f : pending) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-    telemetry::emit_event("runtime.batch",
-                          {{"episodes", episodes},
-                           {"jobs", workers},
-                           {"lanes", options.batch_lanes}});
-    return out;
-  }
-
-  if (jobs <= 1 || episodes == 1) {
-    // Serial fast path: one context on the calling thread, no pool.
-    WorkerContext ctx = make_context(make_agent, make_attacker);
-    for (int k = 0; k < episodes; ++k) {
-      ADSEC_SPAN("runtime.episode");
-      out[static_cast<std::size_t>(k)] =
-          evaluate_episode(*ctx.agent, ctx.attacker.get(), config,
-                           seed_base + static_cast<std::uint64_t>(k),
-                           options.with_reference);
-      episodes_counter().inc();
-      if (options.on_progress) options.on_progress(k + 1, episodes);
-    }
-    telemetry::emit_event("runtime.batch", {{"episodes", episodes}, {"jobs", 1}});
-    return out;
-  }
-
   WorkStealingPool pool(std::min(jobs, episodes));
   // One lazily built context per worker. Slot w is only ever touched by
   // worker thread w, so no lock is needed.

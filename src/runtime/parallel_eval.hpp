@@ -1,4 +1,5 @@
-// Deterministic parallel episode scheduler.
+// Deterministic parallel episode scheduler — the one way a batch of
+// episodes runs on more than the calling thread.
 //
 // Episodes of a batch are independent once the agent/attacker are reset —
 // run_episode seeds a fresh Rng and World from `seed` and every stateful
@@ -9,9 +10,11 @@
 //     == run_batch(agent, attacker, cfg, n, seed_base, ...)
 //
 // element-wise bit-identical, for ANY jobs count, because episode k always
-// uses seed_base + k, writes result slot k, and runs on a freshly reset
-// per-worker agent/attacker pair built by the factories. Work stealing
-// decides only *where* an episode runs, never *what* it computes.
+// uses seed_base + k, writes result slot k, and runs through
+// evaluate_episode on a freshly reset per-worker agent/attacker pair built
+// by the factories. Work stealing decides only *where* an episode runs,
+// never *what* it computes. jobs = 1 is a one-worker pool, not a separate
+// code path.
 //
 // Factories are invoked at most once per pool worker, concurrently; they
 // must not mutate shared state (see core/experiment.hpp).
@@ -25,13 +28,6 @@ namespace adsec {
 struct ParallelEvalOptions {
   int jobs = 0;                // <= 0 => hardware_jobs()
   bool with_reference = false; // fill deviation_rmse via a reference rollout
-
-  // Episode lanes per worker: > 1 routes episodes through the
-  // step-synchronized lane scheduler (runtime/lane_scheduler.hpp), which
-  // batches the policy forward across in-flight episodes. Results stay
-  // bit-identical for any value — episode k still uses seed_base + k and
-  // slot k — so this is purely a throughput knob.
-  int batch_lanes = 1;
 
   // Called after each finished episode with (episodes done, total), from
   // worker threads — must be thread-safe (e.g. ProgressMeter::tick).

@@ -7,7 +7,7 @@
 namespace adsec {
 
 ImuSensor::ImuSensor(const ImuConfig& config, std::uint64_t noise_seed)
-    : config_(config), rng_(noise_seed) {
+    : config_(config), noise_seed_(noise_seed), rng_(noise_seed) {
   if (config.window_steps < 1) {
     throw std::invalid_argument("ImuSensor: window_steps must be >= 1");
   }
@@ -19,6 +19,7 @@ void ImuSensor::reset(const World& world) {
   std::fill(accel_.begin(), accel_.end(), 0.0);
   std::fill(gyro_.begin(), gyro_.end(), 0.0);
   head_ = 0;
+  rng_ = Rng(noise_seed_);
   prev_speed_ = world.ego().state().speed;
   prev_heading_ = world.ego().state().heading;
   has_prev_ = true;

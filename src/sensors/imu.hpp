@@ -40,6 +40,8 @@ class ImuSensor {
   // first, normalized.
   std::vector<double> observation() const;
 
+  // Clears the window and restarts the noise stream from its construction
+  // seed, so an episode's readings depend only on that episode.
   void reset(const World& world);
 
   int dim() const { return 2 * config_.window_steps; }
@@ -47,6 +49,7 @@ class ImuSensor {
 
  private:
   ImuConfig config_;
+  std::uint64_t noise_seed_;
   Rng rng_;
   double prev_speed_{0.0};
   double prev_heading_{0.0};

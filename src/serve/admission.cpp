@@ -61,25 +61,6 @@ std::optional<PendingRequest> AdmissionQueue::pop() {
   return out;
 }
 
-std::vector<PendingRequest> AdmissionQueue::pop_matching(
-    const std::function<bool(const PendingRequest&)>& match,
-    std::size_t max_items) {
-  std::vector<PendingRequest> out;
-  MutexLock lock(mu_);
-  for (auto it = items_.begin(); it != items_.end() && out.size() < max_items;) {
-    if (match(*it)) {
-      out.push_back(std::move(*it));
-      it = items_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (!out.empty()) {
-    queue_metrics().depth.set(static_cast<double>(items_.size()));
-  }
-  return out;
-}
-
 void AdmissionQueue::close() {
   {
     MutexLock lock(mu_);

@@ -19,7 +19,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/annotations.hpp"
 #include "serve/protocol.hpp"
@@ -61,15 +60,6 @@ class AdmissionQueue {
   // Blocking FIFO pop; returns nullopt once the queue is closed AND empty,
   // so a drain consumes every admitted request exactly once.
   std::optional<PendingRequest> pop();
-
-  // Non-blocking: remove and return up to `max_items` queued requests for
-  // which `match` returns true, in FIFO order. The dispatcher uses this to
-  // coalesce same-spec requests into one lane-batched evaluation; requests
-  // that don't match keep their queue position, so coalescing never
-  // reorders non-matching work.
-  std::vector<PendingRequest> pop_matching(
-      const std::function<bool(const PendingRequest&)>& match,
-      std::size_t max_items);
 
   // Stop admitting (try_push rejects with "shutting_down"); pop keeps
   // draining what was already admitted. Idempotent.

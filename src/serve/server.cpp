@@ -8,7 +8,6 @@
 #include "common/logging.hpp"
 #include "common/table.hpp"
 #include "runtime/aggregate.hpp"
-#include "runtime/lane_scheduler.hpp"
 #include "serve/json.hpp"
 #include "serve/spec.hpp"
 #include "telemetry/telemetry.hpp"
@@ -48,21 +47,7 @@ ResultRecord status_record(const EvalRequest& request, const char* status) {
   return rec;
 }
 
-// Every axis that changes the resolved experiment. Two requests with the
-// same key run the exact same spec (only id, seed, and episode count may
-// differ), which is what makes coalescing them into one lane fleet safe.
-std::string spec_key(const EvalRequest& r) {
-  return r.agent + "|" + r.attacker + "|" + fmt(r.budget, 6) + "|" + r.scenario +
-         (r.with_reference ? "|ref" : "|noref");
-}
-
-// Coalescing bound: keeps one giant burst of identical requests from
-// monopolizing a worker slot forever and bounds the jobs vector.
-constexpr std::size_t kMaxCoalesce = 8;
-
-// Aggregate one request's ordered episode metrics into its terminal
-// record — shared by the serial and lane-batched paths so coalescing
-// cannot change what a "done" record reports.
+// Aggregate one request's ordered episode metrics into its terminal record.
 ResultRecord summarize(const EvalRequest& req,
                        const std::vector<EpisodeMetrics>& ms) {
   EpisodeAggregator agg;
@@ -225,27 +210,8 @@ void EvalServer::submit(EvalRequest request, ResultCallback sink) {
 
 void EvalServer::dispatcher_loop() {
   telemetry::set_thread_name("serve.dispatcher");
-  while (auto pending = queue_.pop()) {
-    auto group = std::make_shared<std::vector<PendingRequest>>();
-    group->push_back(std::move(*pending));
-    if (options_.batch_lanes > 1) {
-      // Same-spec coalescing: queued requests that resolve to the exact
-      // same experiment ride along in this dispatch and share one lane
-      // fleet (one batched forward per step across ALL their episodes),
-      // occupying a single worker slot. Non-matching requests keep their
-      // queue position.
-      const std::string key = spec_key(group->front().request);
-      auto extra = queue_.pop_matching(
-          [&key](const PendingRequest& p) { return spec_key(p.request) == key; },
-          kMaxCoalesce - 1);
-      for (auto& p : extra) group->push_back(std::move(p));
-      if (group->size() > 1) {
-        telemetry::emit_event(
-            "serve.coalesce",
-            {{"class", request_class(group->front().request)},
-             {"requests", static_cast<std::uint64_t>(group->size())}});
-      }
-    }
+  while (auto popped = queue_.pop()) {
+    auto pending = std::make_shared<PendingRequest>(std::move(*popped));
     {
       // Hold dispatch until a worker slot frees: the queue depth, not the
       // pool's internal deques, is the server's only backlog.
@@ -253,8 +219,8 @@ void EvalServer::dispatcher_loop() {
       while (in_flight_ >= workers_) slots_cv_.wait(lock);
       ++in_flight_;
     }
-    pool_->submit([this, group] {
-      execute_group(*group);
+    pool_->submit([this, pending] {
+      execute(*pending);
       // Notify under the lock: the destructor may destroy slots_cv_ as soon
       // as the dispatcher observes in_flight_ == 0, and holding mu_ through
       // the notify orders this call before that observation.
@@ -268,93 +234,6 @@ void EvalServer::dispatcher_loop() {
   while (in_flight_ != 0) slots_cv_.wait(lock);
   drained_ = true;
   slots_cv_.notify_all();
-}
-
-void EvalServer::execute_group(std::vector<PendingRequest>& group) {
-  if (options_.batch_lanes <= 1) {
-    // Classic path: the dispatcher never coalesces here, so the group is
-    // a single request.
-    execute(group.front());
-    return;
-  }
-
-  // One rooted trace for the whole coalesced dispatch, adopting the first
-  // request's submit-side context (per-request spans cannot interleave on
-  // one thread; the per-request records and events below still carry each
-  // request's identity and timing).
-  telemetry::SpanGuard span("serve.request", group.front().trace);
-  const std::uint64_t start_ns = telemetry::monotonic_ns();
-  for (auto& p : group) emit(p.sink, status_record(p.request, "running"));
-
-  std::vector<ResultRecord> recs(group.size());
-  try {
-    for (auto& p : group) {
-      if (options_.on_request_start) options_.on_request_start(p.request);
-    }
-    if (fault_injector().fire("serve.worker")) {
-      throw Error(ErrorCode::Internal, "injected fault in serve worker (request " +
-                                           group.front().request.id + ")");
-    }
-    // All requests share one resolved spec (coalescing key) and one lane
-    // fleet; request r's episode k keeps its serial seed (r.seed + k) and
-    // result slot, so each terminal record is bit-identical to a solo run.
-    const ResolvedSpec spec = resolve_spec(*zoo_, group.front().request);
-    std::vector<std::vector<EpisodeMetrics>> per_request(group.size());
-    std::vector<EpisodeJob> jobs;
-    for (std::size_t r = 0; r < group.size(); ++r) {
-      const EvalRequest& req = group[r].request;
-      per_request[r].resize(static_cast<std::size_t>(req.episodes));
-      for (int k = 0; k < req.episodes; ++k) {
-        jobs.push_back({req.seed + static_cast<std::uint64_t>(k),
-                        req.with_reference,
-                        &per_request[r][static_cast<std::size_t>(k)]});
-      }
-    }
-    run_episode_jobs_batched(spec.agent, spec.attacker, spec.config, jobs,
-                             options_.batch_lanes);
-    for (std::size_t r = 0; r < group.size(); ++r) {
-      recs[r] = summarize(group[r].request, per_request[r]);
-    }
-  } catch (const Error& e) {
-    for (std::size_t r = 0; r < group.size(); ++r) {
-      recs[r] = status_record(group[r].request, "failed");
-      recs[r].error_code = error_code_name(e.code());
-      recs[r].error = e.what();
-    }
-  } catch (const std::exception& e) {
-    for (std::size_t r = 0; r < group.size(); ++r) {
-      recs[r] = status_record(group[r].request, "failed");
-      recs[r].error_code = error_code_name(ErrorCode::Internal);
-      recs[r].error = e.what();
-    }
-  }
-
-  const std::uint64_t end_ns = telemetry::monotonic_ns();
-  for (std::size_t r = 0; r < group.size(); ++r) {
-    const EvalRequest& req = group[r].request;
-    ResultRecord& rec = recs[r];
-    rec.queue_ns = start_ns - group[r].enqueue_ns;
-    rec.run_ns = end_ns - start_ns;
-    const double total_ms =
-        static_cast<double>(end_ns - group[r].enqueue_ns) / 1e6;
-    class_latency_histogram(rec.request_class.empty() ? request_class(req)
-                                                      : rec.request_class)
-        .observe(total_ms);
-    server_metrics().queue_ms.observe(static_cast<double>(rec.queue_ns) / 1e6);
-    if (rec.status == "done") {
-      server_metrics().completed.inc();
-    } else {
-      server_metrics().failed.inc();
-      telemetry::flight_note("serve.request_failed");
-    }
-    telemetry::emit_event("serve.request",
-                          {{"id", req.id},
-                           {"class", request_class(req)},
-                           {"status", rec.status},
-                           {"latency_ms", total_ms},
-                           {"coalesced", static_cast<std::uint64_t>(group.size())}});
-    emit(group[r].sink, rec);
-  }
 }
 
 void EvalServer::execute(PendingRequest& pending) {

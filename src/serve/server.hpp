@@ -51,13 +51,6 @@ struct ServerOptions {
   int workers{0};             // concurrent requests; <= 0 => hardware_jobs()
   std::size_t queue_depth{64};  // admitted-but-not-started bound
 
-  // Episode lanes for cross-episode batched inference (see
-  // runtime/lane_scheduler.hpp). > 1 additionally lets the dispatcher
-  // coalesce queued same-spec requests into one lane-batched evaluation
-  // occupying a single worker slot; every request keeps its own seeds,
-  // aggregation, and terminal record, bit-identical to a solo run.
-  int batch_lanes{1};
-
   // After this many consecutive admission rejections the server dumps the
   // flight recorder once (the storm is exactly the moment the recent-past
   // evidence matters); the counter re-arms after an admit. <= 0 disables.
@@ -112,9 +105,6 @@ class EvalServer {
   void emit(const ResultCallback& sink, const ResultRecord& record);
   void dispatcher_loop();
   void execute(PendingRequest& pending);
-  // Coalesced same-spec requests: one lane-batched rollout, one terminal
-  // record per request. `group` has >= 1 element.
-  void execute_group(std::vector<PendingRequest>& group);
   ResultRecord run_request(const EvalRequest& request);
 
   ServerOptions options_;

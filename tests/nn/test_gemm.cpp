@@ -257,89 +257,6 @@ TEST(GemmDeterminism, AllocatingWrappersMatchIntoVariants) {
   expect_same(matmul_tn(at, b), c);
 }
 
-TEST(GemmParity, PackedLinearForwardBitIdenticalPerTier) {
-  // Pre-packed weight panels must be a pure caching transform: the packed
-  // path reuses the exact bytes per-call packing would have produced, so
-  // results are bit-identical to the unpacked call under every tier —
-  // including m = 1 (GEMV path, pack ignored) and sub-tile m.
-  Rng rng(4242);
-  const Matrix w = make_random(33, 29, rng);
-  const Matrix bias = make_random(1, 29, rng);
-  for (simd::Tier tier : simd::available_tiers()) {
-    simd::force_tier(tier);
-    WeightPack pack;
-    pack_weights(pack, w);
-    EXPECT_TRUE(pack.matches(w));
-    for (int m : {1, 4, 16}) {
-      const Matrix x = make_random(m, 33, rng);
-      Matrix plain, packed;
-      linear_forward_into(plain, x, w, bias, Activation::ReLU);
-      linear_forward_into(packed, x, w, bias, Activation::ReLU, pack);
-      ASSERT_EQ(packed.rows(), plain.rows());
-      ASSERT_EQ(packed.cols(), plain.cols());
-      EXPECT_EQ(std::memcmp(packed.data(), plain.data(),
-                            plain.size() * sizeof(double)),
-                0)
-          << "tier " << simd::tier_name(tier) << " m=" << m;
-    }
-    simd::reset_tier();
-  }
-}
-
-TEST(GemmParity, PackedLinearForwardMultiChunkK) {
-  // k > kKernelKc: the pack stores one panel block per k-chunk; the chunk
-  // offset arithmetic must agree with the per-call packing loop exactly.
-  Rng rng(4243);
-  const int k = kKernelKc + 37;
-  const Matrix w = make_random(k, 11, rng);
-  const Matrix bias = make_random(1, 11, rng);
-  const Matrix x = make_random(8, k, rng);
-  WeightPack pack;
-  pack_weights(pack, w);
-  Matrix plain, packed;
-  linear_forward_into(plain, x, w, bias, Activation::Identity);
-  linear_forward_into(packed, x, w, bias, Activation::Identity, pack);
-  ASSERT_EQ(packed.size(), plain.size());
-  EXPECT_EQ(std::memcmp(packed.data(), plain.data(), plain.size() * sizeof(double)), 0);
-}
-
-TEST(GemmParity, WeightPackRepacksOnTierSwitch) {
-  // A pack records the dispatch tier it was built for; forwarding under a
-  // different tier must transparently repack (panel width nr differs), not
-  // read stale panels.
-  const auto tiers = simd::available_tiers();
-  if (tiers.size() < 2) GTEST_SKIP() << "only one dispatch tier on this host";
-  Rng rng(4244);
-  const Matrix w = make_random(24, 17, rng);
-  const Matrix bias = make_random(1, 17, rng);
-  const Matrix x = make_random(6, 24, rng);
-  WeightPack pack;
-  simd::force_tier(tiers.front());
-  pack_weights(pack, w);
-  EXPECT_TRUE(pack.matches(w));
-  simd::force_tier(tiers.back());
-  EXPECT_FALSE(pack.matches(w));
-  Matrix plain, packed;
-  linear_forward_into(plain, x, w, bias, Activation::ReLU);
-  linear_forward_into(packed, x, w, bias, Activation::ReLU, pack);
-  EXPECT_TRUE(pack.matches(w));
-  EXPECT_EQ(std::memcmp(packed.data(), plain.data(), plain.size() * sizeof(double)), 0);
-  simd::reset_tier();
-}
-
-TEST(GemmParity, WeightPackMatchesTracksShape) {
-  Rng rng(4245);
-  const Matrix w = make_random(12, 9, rng);
-  WeightPack pack;
-  EXPECT_FALSE(pack.matches(w));  // default-constructed: matches nothing
-  pack_weights(pack, w);
-  EXPECT_TRUE(pack.matches(w));
-  const Matrix other = make_random(12, 10, rng);
-  EXPECT_FALSE(pack.matches(other));
-  pack.clear();
-  EXPECT_FALSE(pack.matches(w));
-}
-
 TEST(GemmKernelConfig, LargeKCrossesChunkBoundary) {
   // k > kKernelKc exercises the multi-chunk path (first/last flags). The
   // chunked sum associates differently from the reference single chain, so

@@ -30,30 +30,6 @@ TEST(Mlp, ForwardMatchesInference) {
   }
 }
 
-TEST(Mlp, PackedInferenceMatchesPlain) {
-  Rng rng(7);
-  Mlp mlp({6, 16, 16, 4}, Activation::ReLU, rng);
-  Matrix x = Matrix::randn(9, 6, rng, 1.0);
-  Matrix plain, packed;
-  mlp.forward_inference_into(x, plain);
-  std::vector<WeightPack> packs;
-  mlp.prepack_weights(packs);
-  ASSERT_EQ(packs.size(), 3u);
-  mlp.forward_inference_into(x, packed, packs);
-  ASSERT_EQ(packed.rows(), plain.rows());
-  ASSERT_EQ(packed.cols(), plain.cols());
-  for (int i = 0; i < plain.rows(); ++i) {
-    for (int j = 0; j < plain.cols(); ++j) EXPECT_EQ(packed(i, j), plain(i, j));
-  }
-  // Wrong-sized packs (e.g. from another trunk) degrade to the plain path.
-  packs.pop_back();
-  Matrix fallback;
-  mlp.forward_inference_into(x, fallback, packs);
-  for (int i = 0; i < plain.rows(); ++i) {
-    for (int j = 0; j < plain.cols(); ++j) EXPECT_EQ(fallback(i, j), plain(i, j));
-  }
-}
-
 TEST(Mlp, RejectsBadInputDim) {
   Rng rng(3);
   Mlp mlp({4, 8, 3}, Activation::ReLU, rng);

@@ -2,9 +2,7 @@
 //   * every available tier passes GEMM/GEMV parity vs the reference::
 //     oracle (exact for scalar, ulp-tolerance for the FMA tier);
 //   * WITHIN a tier, a row pushed through a batched B x k forward is
-//     bit-identical to the same row pushed through a 1 x k forward — the
-//     property the cross-episode lane scheduler's batched == serial
-//     guarantee bottoms out in;
+//     bit-identical to the same row pushed through a 1 x k forward;
 //   * repeated runs are bit-identical per tier;
 //   * ADSEC_SIMD / force_tier validation and the aligned-storage fix.
 #include <gtest/gtest.h>
@@ -126,9 +124,9 @@ TEST(SimdParity, EveryAvailableTierMatchesReference) {
   }
 }
 
-// The linchpin of batched inference: row r of a B x k linear forward is
-// bit-identical to running that row alone, for every batch size across the
-// GEMV/blocked path boundary — per tier.
+// Row r of a B x k linear forward is bit-identical to running that row
+// alone, for every batch size across the GEMV/blocked path boundary — per
+// tier.
 TEST(SimdParity, RowBatchedForwardIsBitIdenticalToPerRowPerTier) {
   TierGuard guard;
   const int k = 67;

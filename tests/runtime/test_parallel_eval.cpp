@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <initializer_list>
 #include <map>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 
@@ -18,8 +20,10 @@
 #include "common/fault_injection.hpp"
 #include "agents/e2e_agent.hpp"
 #include "agents/modular_agent.hpp"
+#include "attack/attacker.hpp"
 #include "attack/scripted_attacker.hpp"
 #include "sensors/camera.hpp"
+#include "sensors/imu.hpp"
 
 namespace adsec {
 namespace {
@@ -43,7 +47,8 @@ void expect_identical(const EpisodeMetrics& a, const EpisodeMetrics& b) {
 }
 
 void expect_parity(const AgentFactory& make_agent, const AttackerFactory& make_attacker,
-                   bool with_reference, int episodes, std::uint64_t seed_base) {
+                   bool with_reference, int episodes, std::uint64_t seed_base,
+                   std::initializer_list<int> job_counts = {1, 2, 3, 4, 7}) {
   ExperimentConfig cfg;
   auto agent = make_agent();
   std::unique_ptr<Attacker> attacker;
@@ -51,7 +56,7 @@ void expect_parity(const AgentFactory& make_agent, const AttackerFactory& make_a
   const auto serial =
       run_batch(*agent, attacker.get(), cfg, episodes, seed_base, with_reference);
 
-  for (const int jobs : {1, 2, 3, 4, 7}) {
+  for (const int jobs : job_counts) {
     const auto parallel = run_batch_parallel(make_agent, make_attacker, cfg, episodes,
                                              seed_base, with_reference, jobs);
     ASSERT_EQ(parallel.size(), serial.size()) << "jobs=" << jobs;
@@ -105,6 +110,17 @@ TEST(ParallelEval, ParityNoiseAttackerReseedsPerEpisode) {
   // The stochastic baseline attacker reseeds in reset(), so even it must
   // hold the bit-identity contract across worker-private instances.
   AttackerFactory attacker = [] { return std::make_unique<NoiseAttacker>(0.6); };
+  expect_parity(modular_factory(), attacker, /*with_reference=*/false, 10, 123);
+}
+
+TEST(ParallelEval, ParityImuAttackerReseedsPerEpisode) {
+  // The IMU sensor restarts its noise stream in reset(), so an IMU-attacked
+  // episode must not depend on which episodes its worker ran before.
+  AttackerFactory attacker = [] {
+    Rng rng(7);
+    GaussianPolicy policy = GaussianPolicy::make_mlp(ImuSensor().dim(), {32, 32}, 1, rng);
+    return std::make_unique<LearnedImuAttacker>(policy, 1.0);
+  };
   expect_parity(modular_factory(), attacker, /*with_reference=*/false, 10, 123);
 }
 
@@ -218,6 +234,70 @@ TEST(ParallelEval, InjectedWorkerFaultSurfacesAsStructuredError) {
   ASSERT_EQ(clean.size(), serial.size());
   for (std::size_t k = 0; k < serial.size(); ++k) {
     expect_identical(clean[k], serial[k]);
+  }
+}
+
+// The LaneScheduler cases predate the one pool path; they now hold
+// run_batch_parallel to the same contract, with the old lane counts as
+// job counts (32 > episodes: idle workers must not matter).
+constexpr std::initializer_list<int> kLaneJobCounts = {1, 2, 3, 8, 32};
+
+TEST(LaneScheduler, ParityE2ENominal) {
+  expect_parity(e2e_factory(), {}, /*with_reference=*/false, 8, 500, kLaneJobCounts);
+}
+
+TEST(LaneScheduler, ParityE2EAttacked) {
+  AttackerFactory attacker = [] { return std::make_unique<ScriptedAttacker>(0.8); };
+  expect_parity(e2e_factory(), attacker, /*with_reference=*/false, 8, 500,
+                kLaneJobCounts);
+}
+
+TEST(LaneScheduler, ParityE2EAttackedWithReference) {
+  AttackerFactory attacker = [] { return std::make_unique<ScriptedAttacker>(1.0); };
+  expect_parity(e2e_factory(), attacker, /*with_reference=*/true, 6, 700000,
+                kLaneJobCounts);
+}
+
+TEST(LaneScheduler, ParityE2ENoiseAttackerReseedsPerEpisode) {
+  AttackerFactory attacker = [] { return std::make_unique<NoiseAttacker>(0.6); };
+  expect_parity(e2e_factory(), attacker, /*with_reference=*/false, 8, 123,
+                kLaneJobCounts);
+}
+
+TEST(LaneScheduler, ParityNonBatchableAgentFallsBackPerLane) {
+  AttackerFactory attacker = [] { return std::make_unique<ScriptedAttacker>(0.8); };
+  expect_parity(modular_factory(), attacker, /*with_reference=*/false, 8, 500,
+                kLaneJobCounts);
+}
+
+TEST(LaneScheduler, EmptyJobListIsANoop) {
+  ExperimentConfig cfg;
+  std::atomic<int> built{0};
+  const AgentFactory counting = [&built] {
+    ++built;
+    return std::make_unique<ModularAgent>();
+  };
+  for (const int jobs : kLaneJobCounts) {
+    EXPECT_TRUE(run_batch_parallel(counting, {}, cfg, 0, 500, false, jobs).empty());
+  }
+  EXPECT_EQ(built.load(), 0);
+}
+
+TEST(LaneScheduler, OnJobDoneFiresOncePerJob) {
+  ExperimentConfig cfg;
+  for (const int jobs : {1, 2, 4}) {
+    std::mutex mu;
+    std::multiset<int> done;
+    ParallelEvalOptions opt;
+    opt.jobs = jobs;
+    opt.on_progress = [&](int n, int total) {
+      EXPECT_EQ(total, 6);
+      std::lock_guard<std::mutex> lock(mu);
+      done.insert(n);
+    };
+    run_batch_parallel(e2e_factory(), {}, cfg, 6, 500, opt);
+    EXPECT_EQ(done.size(), 6u) << "jobs=" << jobs;
+    for (int k = 1; k <= 6; ++k) EXPECT_EQ(done.count(k), 1u) << "jobs=" << jobs;
   }
 }
 

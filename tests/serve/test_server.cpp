@@ -19,7 +19,6 @@
 #include "common/fault_injection.hpp"
 #include "runtime/aggregate.hpp"
 #include "serve/spec.hpp"
-#include "telemetry/events.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -284,14 +283,16 @@ TEST_F(ServeServerTest, DrainMidFlightAnswersEverythingExactlyOnce) {
   std::thread drainer([&] { server.drain(); });
 
   // Probe until a submission observes the closed queue; every probe gets a
-  // terminal record either way (done later, or rejected now).
+  // terminal record either way (done later, or rejected now). Probes can
+  // fill the queue before drain() closes it; those are rightly rejected
+  // with queue_full, so keep probing until the closed queue answers.
   int probes = 0;
   bool saw_shutdown_reject = false;
   while (!saw_shutdown_reject) {
     const std::string id = "p" + std::to_string(probes++);
     server.submit(grid_request(id, "noise", 200, 1, false));
     const ResultRecord t = rec.terminal(id);
-    if (t.status == "rejected") {
+    if (t.status == "rejected" && t.error.find("queue_full") == std::string::npos) {
       EXPECT_NE(t.error.find("shutting_down"), std::string::npos) << t.error;
       saw_shutdown_reject = true;
     }
@@ -604,107 +605,6 @@ TEST_F(ServeServerTest, RepeatedPolicyRequestsHitZooCache) {
   // repeated requests on a warm worker skip the zoo entirely.
   EXPECT_LE(report.actor_cache_misses, 2u);
   EXPECT_GE(report.actor_cache_hits, 2u);
-}
-
-// Same-spec request coalescing under batch_lanes: queued requests that
-// resolve to the same experiment share one lane-batched dispatch, and every
-// request's terminal record stays bit-identical to its solo serial run —
-// coalescing is a throughput optimization, never a semantics change.
-TEST_F(ServeServerTest, BatchLanesCoalescesSameSpecRequestsBitIdentical) {
-  PolicyZoo zoo(dir_);
-  Recorder rec;
-  std::filesystem::create_directories(dir_);
-  const std::string events_path = dir_ + "/events.jsonl";
-  ASSERT_TRUE(telemetry::open_event_log(events_path));
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release1 = false;
-  bool release2 = false;
-
-  ServerOptions opts;
-  opts.workers = 1;
-  opts.queue_depth = 16;
-  opts.batch_lanes = 4;
-  opts.zoo = &zoo;
-  // blk1 occupies the single worker; blk2 then occupies the dispatcher
-  // (popped, non-matching, waiting for a slot); the four "c*" requests pile
-  // up in the queue behind it, so when the dispatcher finally pops c0 the
-  // other three are guaranteed present to coalesce with.
-  opts.on_request_start = [&](const EvalRequest& r) {
-    std::unique_lock<std::mutex> lock(mu);
-    if (r.id == "blk1") cv.wait(lock, [&] { return release1; });
-    if (r.id == "blk2") cv.wait(lock, [&] { return release2; });
-  };
-
-  std::vector<EvalRequest> coalesced;
-  for (int i = 0; i < 4; ++i) {
-    coalesced.push_back(grid_request("c" + std::to_string(i), "noise",
-                                     9100 + static_cast<std::uint64_t>(i),
-                                     1 + i % 3, /*with_reference=*/false));
-  }
-
-  {
-    EvalServer server(opts, rec.sink());
-    server.submit(grid_request("blk1", "none", 100, 1, false));
-    rec.wait_for_status("blk1", "running");
-    server.submit(grid_request("blk2", "oracle", 101, 1, false));
-    for (const auto& req : coalesced) server.submit(req);
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      release1 = true;
-    }
-    cv.notify_all();
-    rec.wait_for_status("blk2", "running");
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      release2 = true;
-    }
-    cv.notify_all();
-    server.drain();
-  }
-  telemetry::close_event_log();
-
-  EXPECT_EQ(rec.terminal("blk1").status, "done");
-  EXPECT_EQ(rec.terminal("blk2").status, "done");
-  for (const auto& req : coalesced) {
-    const auto records = rec.records(req.id);
-    ASSERT_EQ(rec.terminal_count(req.id), 1) << req.id;
-    ASSERT_EQ(records.size(), 3u) << req.id;
-    EXPECT_EQ(records[0].status, "queued");
-    EXPECT_EQ(records[1].status, "running");
-    EXPECT_EQ(records[2].status, "done");
-
-    // Bit-identical to the solo serial run of the same request.
-    const ResolvedSpec spec = resolve_spec(zoo, req);
-    auto agent = spec.agent();
-    auto attacker = spec.attacker ? spec.attacker() : nullptr;
-    const auto ms = run_batch(*agent, attacker.get(), spec.config, req.episodes,
-                              req.seed, req.with_reference);
-    EpisodeAggregator agg;
-    for (const auto& m : ms) agg.add(m);
-    const ResultRecord& served = records[2];
-    EXPECT_EQ(served.episodes, static_cast<int>(ms.size()));
-    EXPECT_DOUBLE_EQ(served.mean_nominal_reward, agg.nominal_reward().mean());
-    EXPECT_DOUBLE_EQ(served.mean_adv_reward, agg.adv_reward().mean());
-    EXPECT_DOUBLE_EQ(served.mean_passed_npcs, agg.passed_npcs().mean());
-    EXPECT_DOUBLE_EQ(served.mean_attack_effort, agg.attack_effort().mean());
-    EXPECT_DOUBLE_EQ(served.success_rate, success_rate(ms));
-    EXPECT_EQ(served.collisions, agg.collisions());
-    EXPECT_EQ(served.side_collisions, agg.side_collisions());
-  }
-
-  // The dispatcher recorded the coalesced group of 4.
-  std::ifstream events(events_path);
-  std::string line;
-  bool saw_coalesce = false;
-  while (std::getline(events, line)) {
-    if (line.find("serve.coalesce") != std::string::npos &&
-        line.find("\"requests\":4") != std::string::npos) {
-      saw_coalesce = true;
-    }
-  }
-  EXPECT_TRUE(saw_coalesce) << "expected a serve.coalesce event for 4 requests";
 }
 
 }  // namespace

@@ -1,147 +1,24 @@
-// Minimal JSON well-formedness checker for telemetry output tests.
-//
-// Deliberately tiny: a recursive-descent parser that accepts exactly RFC
-// 8259 documents and rejects everything else (trailing garbage, bare
-// values outside containers are allowed per the RFC). It does not build a
-// DOM — tests only need "would a real JSON parser accept this file?"
-// without taking a dependency the container may not have.
+// JSON well-formedness checks for telemetry output tests: "would a real
+// JSON parser accept this?", answered by the RFC 8259 parser the
+// evaluation service reads requests with (serve/json.hpp).
 #pragma once
 
-#include <cctype>
-#include <cstddef>
 #include <sstream>
 #include <string>
 
+#include "common/error.hpp"
+#include "serve/json.hpp"
+
 namespace adsec::testjson {
 
-class Checker {
- public:
-  explicit Checker(const std::string& text) : s_(text) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    for (;;) {
-      skip_ws();
-      if (peek() != '"' || !string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool string() {
-    ++pos_;  // opening quote
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c == '"') { ++pos_; return true; }
-      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-        const char e = s_[pos_];
-        if (e == 'u') {
-          for (int k = 1; k <= 4; ++k) {
-            if (pos_ + static_cast<std::size_t>(k) >= s_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(s_[pos_ + static_cast<std::size_t>(k)]))) {
-              return false;
-            }
-          }
-          pos_ += 4;
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' &&
-                   e != 'n' && e != 'r' && e != 't') {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    return false;  // unterminated
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    if (!digits()) return false;
-    if (peek() == '.') {
-      ++pos_;
-      if (!digits()) return false;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      if (!digits()) return false;
-    }
-    return pos_ > start;
-  }
-
-  bool digits() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) ++pos_;
-    return pos_ > start;
-  }
-
-  bool literal(const char* word) {
-    for (const char* p = word; *p != '\0'; ++p, ++pos_) {
-      if (pos_ >= s_.size() || s_[pos_] != *p) return false;
-    }
+inline bool valid_json(const std::string& text) {
+  try {
+    (void)serve::JsonValue::parse(text);
     return true;
+  } catch (const Error&) {
+    return false;
   }
-
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' || s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_{0};
-};
-
-inline bool valid_json(const std::string& text) { return Checker(text).valid(); }
+}
 
 // JSON Lines: every non-empty line is its own valid document.
 inline bool valid_jsonl(const std::string& text) {

@@ -38,7 +38,9 @@ std::vector<std::string> lines_of(const std::string& text) {
 class EventsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "adsec_events_test.jsonl";
+    // One file per test: ctest runs the cases as parallel processes.
+    path_ = ::testing::TempDir() + "adsec_events_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".jsonl";
     std::remove(path_.c_str());
   }
   void TearDown() override {

@@ -75,7 +75,6 @@ struct Options {
   std::string scenario = "paper";
   std::uint64_t seed = 700000;
   int jobs = 0;  // 0 => hardware_concurrency
-  int batch_lanes = 1;  // > 1 => cross-episode batched inference per worker
   int checkpoint_every = -1;  // -1 => leave ADSEC_CKPT_EVERY as-is
   bool with_reference = false;
   std::string csv;
@@ -91,7 +90,7 @@ struct Options {
   std::FILE* out = code == 0 ? stdout : stderr;
   std::fprintf(out,
       "usage: %s [--agent A] [--attacker T] [--budget E] [--episodes N]\n"
-      "          [--scenario P] [--seed S] [--jobs N] [--batch-lanes N]\n"
+      "          [--scenario P] [--seed S] [--jobs N]\n"
       "          [--checkpoint-every N] [--with-reference] [--csv PATH] [--list]\n"
       "          [--grid SPEC --store-dir DIR [--resume] [--deadline-ms N]]\n"
       "          [--metrics-out PATH] [--chrome-trace PATH] [--trace-jsonl PATH]\n"
@@ -183,9 +182,6 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--jobs") {
       const std::string v = value();
       if (!parse_int(v, 0, opt.jobs)) bad_value(v);
-    } else if (arg == "--batch-lanes") {
-      const std::string v = value();
-      if (!parse_int(v, 1, opt.batch_lanes)) bad_value(v);
     } else if (arg == "--checkpoint-every") {
       const std::string v = value();
       if (!parse_int(v, 0, opt.checkpoint_every)) bad_value(v);
@@ -373,8 +369,7 @@ int main(int argc, char** argv) {
                          {"attacker", opt.attacker},
                          {"scenario", opt.scenario},
                          {"episodes", opt.episodes},
-                         {"jobs", opt.jobs > 0 ? opt.jobs : hardware_jobs()},
-                         {"lanes", opt.batch_lanes}});
+                         {"jobs", opt.jobs > 0 ? opt.jobs : hardware_jobs()}});
 
   // --- spec resolution ---
   // The CLI and the evaluation server (src/serve) share one spec resolver,
@@ -411,7 +406,6 @@ int main(int argc, char** argv) {
   // --- run ---
   ParallelEvalOptions run_opts;
   run_opts.jobs = opt.jobs;
-  run_opts.batch_lanes = opt.batch_lanes;
   run_opts.with_reference = opt.with_reference;
   ProgressMeter progress(opt.episodes, "episodes",
                          opt.episodes >= 20 ? std::max(1, opt.episodes / 10) : 0);
@@ -439,9 +433,6 @@ int main(int argc, char** argv) {
   t.add_row({"scenario", opt.scenario});
   t.add_row({"episodes", std::to_string(opt.episodes)});
   t.add_row({"jobs", std::to_string(opt.jobs > 0 ? opt.jobs : hardware_jobs())});
-  if (opt.batch_lanes > 1) {
-    t.add_row({"batch lanes", std::to_string(opt.batch_lanes)});
-  }
   t.add_row({"mean nominal reward", fmt(reward.mean(), 1) + " ± " + fmt(reward.stdev(), 1)});
   t.add_row({"mean adversarial reward", fmt(adv.mean(), 2)});
   t.add_row({"mean passed NPCs", fmt(passed.mean(), 2)});
