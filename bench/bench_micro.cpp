@@ -297,8 +297,9 @@ double measure_ns_scaled(const std::function<void()>& op, int iters) {
 // The pre-PR compute path, reconstructed from the reference:: kernels: an
 // allocating forward (linear_forward + activation per layer) and an
 // allocating backward (matmul_tn / column_sum / matmul_nt with add_inplace).
-// This is the baseline the "speedup" column — and the >= 2x acceptance bar
-// on the MLP row — is measured against.
+// Like Mlp::backward it stops before the layer-0 input gradient, so both
+// sides do the same products. This is the baseline the "speedup" column —
+// and the >= 2x acceptance bar on the MLP row — is measured against.
 struct RefMlp {
   std::vector<Matrix> w, b, wg, bg;
   Activation act{Activation::ReLU};
@@ -332,7 +333,7 @@ struct RefMlp {
       if (i + 1 < w.size()) apply_activation_grad(act, inputs[i + 1], cur);
       wg[i].add_inplace(reference::matmul_tn(inputs[i], cur));
       bg[i].add_inplace(reference::column_sum(cur));
-      cur = reference::matmul_nt(cur, w[i]);
+      if (i > 0) cur = reference::matmul_nt(cur, w[i]);
     }
   }
 

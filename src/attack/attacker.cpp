@@ -21,7 +21,8 @@ LearnedCameraAttacker::LearnedCameraAttacker(GaussianPolicy policy, double budge
 void LearnedCameraAttacker::reset(const World& world) { observer_.reset(world); }
 
 double LearnedCameraAttacker::decide(const World& world) {
-  row_into(obs_mat_, observer_.observe(world));
+  obs_mat_.resize(1, observer_.dim());
+  observer_.observe_into(world, obs_mat_.row(0));
   policy_.mean_action_into(obs_mat_, act_mat_);
   return budget_ * clamp(act_mat_(0, 0), -1.0, 1.0);
 }
@@ -38,7 +39,8 @@ DeterministicCameraAttacker::DeterministicCameraAttacker(Mlp policy, double budg
 void DeterministicCameraAttacker::reset(const World& world) { observer_.reset(world); }
 
 double DeterministicCameraAttacker::decide(const World& world) {
-  row_into(obs_mat_, observer_.observe(world));
+  obs_mat_.resize(1, observer_.dim());
+  observer_.observe_into(world, obs_mat_.row(0));
   policy_.forward_inference_into(obs_mat_, act_mat_);
   return budget_ * std::tanh(act_mat_(0, 0));
 }

@@ -13,15 +13,12 @@ std::vector<double> steering_obs_gradient(GaussianPolicy& policy,
     throw std::invalid_argument("steering_obs_gradient: obs dim mismatch");
   }
   Trunk& trunk = policy.trunk();
-  trunk.zero_grad();
   trunk.forward(Matrix::from_vector(obs));
   // Head layout is [mu | log_std]; pre-tanh steering mean is index 0, and
   // tanh is monotone, so its gradient direction equals the action's.
   Matrix dhead(1, trunk.out_dim());
   dhead(0, 0) = 1.0;
-  const Matrix gin = trunk.backward(dhead);
-  trunk.zero_grad();  // discard parameter grads from this probe
-  return gin.to_vector();
+  return trunk.input_grad(dhead, 0).to_vector();
 }
 
 std::vector<double> fgsm_perturb(const std::vector<double>& obs,

@@ -403,6 +403,19 @@ void matmul_nt_into(Matrix& c, const Matrix& a, const Matrix& b, bool accumulate
        {b.data(), 1, b.cols()}, accumulate, {});
 }
 
+void matmul_nt_rows_into(Matrix& c, const Matrix& a, const Matrix& b, int row_begin,
+                         int row_end) {
+  if (a.cols() != b.cols()) throw std::invalid_argument("matmul_nt_rows: dim mismatch");
+  if (row_begin < 0 || row_begin > row_end || row_end > b.rows()) {
+    throw std::invalid_argument("matmul_nt_rows: row range out of bounds");
+  }
+  assert(no_alias(c, a) && no_alias(c, b));
+  c.resize(a.rows(), row_end - row_begin);
+  gemm(c.data(), a.rows(), row_end - row_begin, a.cols(), {a.data(), a.cols(), 1},
+       {b.data() + static_cast<std::size_t>(row_begin) * b.cols(), 1, b.cols()}, false,
+       {});
+}
+
 void linear_forward_into(Matrix& y, const Matrix& x, const Matrix& w, const Matrix& b,
                          Activation act) {
   if (x.cols() != w.rows()) throw std::invalid_argument("matmul: inner dim mismatch");

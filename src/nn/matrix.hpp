@@ -121,6 +121,14 @@ void matmul_tn_into(Matrix& c, const Matrix& a, const Matrix& b, bool accumulate
 // C = A * B^T (+ C).
 void matmul_nt_into(Matrix& c, const Matrix& a, const Matrix& b, bool accumulate = false);
 
+// C = A * B[row_begin:row_end)^T: columns row_begin..row_end-1 of A * B^T,
+// from a contiguous row range of B. Each element runs the same ascending-k
+// chain as in the full product, so the kept columns are bit-identical to
+// matmul_nt_into's (backward passes use it to skip input-gradient columns
+// nobody reads).
+void matmul_nt_rows_into(Matrix& c, const Matrix& a, const Matrix& b, int row_begin,
+                         int row_end);
+
 // Y = act(X * W + 1 * b): GEMM with the bias broadcast and activation fused
 // into the store epilogue (Y is touched once). b is 1 x out.
 void linear_forward_into(Matrix& y, const Matrix& x, const Matrix& w, const Matrix& b,

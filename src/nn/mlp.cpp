@@ -63,8 +63,8 @@ void Mlp::forward_inference_into(const Matrix& x, Matrix& out) const {
   }
 }
 
-const Matrix& Mlp::backward(const Matrix& grad_out) {
-  if (!cached_) throw std::logic_error("Mlp::backward: no cached forward");
+const Matrix& Mlp::layer0_delta(const Matrix& grad_out, bool param_grads) {
+  if (!cached_) throw std::logic_error("Mlp: backward pass without a cached forward");
   Matrix* cur = &gbuf_a_;
   Matrix* next = &gbuf_b_;
   cur->copy_from(grad_out);
@@ -73,13 +73,27 @@ const Matrix& Mlp::backward(const Matrix& grad_out) {
     if (l < num_layers() - 1) {
       apply_activation_grad(act_, hiddens_[ul], *cur);
     }
-    const Matrix& input = l == 0 ? in0_ : hiddens_[ul - 1];
-    matmul_tn_into(w_grads_[ul], input, *cur, /*accumulate=*/true);
-    column_sum_into(b_grads_[ul], *cur, /*accumulate=*/true);
+    if (l == 0) break;
+    if (param_grads) {
+      matmul_tn_into(w_grads_[ul], hiddens_[ul - 1], *cur, /*accumulate=*/true);
+      column_sum_into(b_grads_[ul], *cur, /*accumulate=*/true);
+    }
     matmul_nt_into(*next, *cur, weights_[ul]);
     std::swap(cur, next);
   }
   return *cur;
+}
+
+void Mlp::backward(const Matrix& grad_out) {
+  const Matrix& delta = layer0_delta(grad_out, /*param_grads=*/true);
+  matmul_tn_into(w_grads_[0], in0_, delta, /*accumulate=*/true);
+  column_sum_into(b_grads_[0], delta, /*accumulate=*/true);
+}
+
+const Matrix& Mlp::input_grad(const Matrix& grad_out, int first_col) {
+  const Matrix& delta = layer0_delta(grad_out, /*param_grads=*/false);
+  matmul_nt_rows_into(gin_, delta, weights_[0], first_col, in_dim());
+  return gin_;
 }
 
 void Mlp::zero_grad() {

@@ -2,11 +2,11 @@
 // interface that lets a Gaussian policy head sit on either a plain MLP or a
 // progressive-network column stack (nn/pnn.hpp).
 //
-// Forward/backward are destination-passing: they return const references to
-// internal buffers that are resized in place, so a steady-state training
-// loop (fixed batch shape) performs zero heap allocations here. The
-// returned references are invalidated by the next forward/backward call on
-// the same network.
+// forward() and input_grad() are destination-passing: they return const
+// references to internal buffers that are resized in place, so a
+// steady-state training loop (fixed batch shape) performs zero heap
+// allocations here. A returned reference is invalidated by the next call
+// of the same method on the same network.
 #pragma once
 
 #include <memory>
@@ -24,8 +24,8 @@ class Trunk {
  public:
   virtual ~Trunk() = default;
 
-  // Training-mode forward: caches intermediates for a following backward().
-  // The returned buffer lives until the next forward()/backward().
+  // Training-mode forward: caches intermediates for the backward passes
+  // below. The returned buffer lives until the next forward().
   virtual const Matrix& forward(const Matrix& x) = 0;
 
   // Inference-only forward into a caller buffer: no caching, no allocation
@@ -40,9 +40,19 @@ class Trunk {
     return out;
   }
 
-  // Backprop: accumulates parameter grads, returns grad w.r.t. the input
-  // (valid until the next forward()/backward()).
-  virtual const Matrix& backward(const Matrix& grad_out) = 0;
+  // The two backward passes over the last forward(); each runs only the
+  // products its caller reads.
+  //
+  // backward() accumulates parameter gradients (training) and stops there:
+  // the layer-0 input gradient is never formed.
+  virtual void backward(const Matrix& grad_out) = 0;
+
+  // input_grad() returns the gradient w.r.t. input columns
+  // [first_col, in_dim()) — batch x (in_dim() - first_col) — and leaves the
+  // parameter gradients untouched (differentiating through a network
+  // without training it: the actor step through a critic, FGSM probes).
+  // The result lives until the next input_grad() on this network.
+  virtual const Matrix& input_grad(const Matrix& grad_out, int first_col) = 0;
 
   virtual void zero_grad() = 0;
   virtual std::vector<Matrix*> params() = 0;
@@ -64,7 +74,8 @@ class Mlp : public Trunk {
 
   const Matrix& forward(const Matrix& x) override;
   void forward_inference_into(const Matrix& x, Matrix& out) const override;
-  const Matrix& backward(const Matrix& grad_out) override;
+  void backward(const Matrix& grad_out) override;
+  const Matrix& input_grad(const Matrix& grad_out, int first_col) override;
 
   void zero_grad() override;
   std::vector<Matrix*> params() override;
@@ -94,6 +105,11 @@ class Mlp : public Trunk {
   void soft_update_from(const Mlp& other, double tau);
 
  private:
+  // Shared descent of both backward passes: the gradient w.r.t. layer 0's
+  // pre-activation output. With `param_grads`, the layers above 0
+  // accumulate their parameter gradients on the way down.
+  const Matrix& layer0_delta(const Matrix& grad_out, bool param_grads);
+
   std::vector<int> dims_;
   Activation act_{Activation::ReLU};
   std::vector<Matrix> weights_;  // layer l: dims[l] x dims[l+1]
@@ -108,9 +124,10 @@ class Mlp : public Trunk {
   Matrix out_;                   // final linear output
   bool cached_{false};
 
-  // Backward scratch: gradient ping-pong buffers + returned input grad.
+  // Backward scratch: gradient ping-pong buffers, and input_grad()'s result.
   Matrix gbuf_a_;
   Matrix gbuf_b_;
+  Matrix gin_;
 };
 
 }  // namespace adsec

@@ -1,7 +1,6 @@
 #include "nn/pnn.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 namespace adsec {
@@ -111,8 +110,8 @@ void PnnTrunk::forward_inference_into(const Matrix& x, Matrix& out) const {
   }
 }
 
-const Matrix& PnnTrunk::backward(const Matrix& grad_out) {
-  if (!cached_) throw std::logic_error("PnnTrunk::backward: no cached forward");
+const Matrix& PnnTrunk::layer0_delta(const Matrix& grad_out, bool param_grads) {
+  if (!cached_) throw std::logic_error("PnnTrunk: backward pass without a cached forward");
   const int L = static_cast<int>(weights_.size());
   Matrix* cur = &gbuf_a_;
   Matrix* next = &gbuf_b_;
@@ -122,24 +121,27 @@ const Matrix& PnnTrunk::backward(const Matrix& grad_out) {
     if (l < L - 1) {
       apply_activation_grad(base_.hidden_activation(), hiddens_[ul], *cur);
     }
-    matmul_tn_into(w_grads_[ul], inputs_[ul], *cur, /*accumulate=*/true);
-    column_sum_into(b_grads_[ul], *cur, /*accumulate=*/true);
-    matmul_nt_into(*next, *cur, weights_[ul]);
-    if (l == 0) {
-      std::swap(cur, next);  // gradient w.r.t. the observation
-    } else {
-      // Keep only the own-column slice; the lateral slice feeds the frozen
-      // column and is dropped.
-      const int own = hiddens_[static_cast<std::size_t>(l - 1)].cols();
-      cur->resize(next->rows(), own);
-      for (int i = 0; i < next->rows(); ++i) {
-        std::memcpy(cur->data() + static_cast<std::size_t>(i) * own,
-                    next->data() + static_cast<std::size_t>(i) * next->cols(),
-                    static_cast<std::size_t>(own) * sizeof(double));
-      }
+    if (l == 0) break;
+    if (param_grads) {
+      matmul_tn_into(w_grads_[ul], inputs_[ul], *cur, /*accumulate=*/true);
+      column_sum_into(b_grads_[ul], *cur, /*accumulate=*/true);
     }
+    matmul_nt_rows_into(*next, *cur, weights_[ul], 0, hiddens_[ul - 1].cols());
+    std::swap(cur, next);
   }
   return *cur;
+}
+
+void PnnTrunk::backward(const Matrix& grad_out) {
+  const Matrix& delta = layer0_delta(grad_out, /*param_grads=*/true);
+  matmul_tn_into(w_grads_[0], inputs_[0], delta, /*accumulate=*/true);
+  column_sum_into(b_grads_[0], delta, /*accumulate=*/true);
+}
+
+const Matrix& PnnTrunk::input_grad(const Matrix& grad_out, int first_col) {
+  const Matrix& delta = layer0_delta(grad_out, /*param_grads=*/false);
+  matmul_nt_rows_into(gin_, delta, weights_[0], first_col, in_dim());
+  return gin_;
 }
 
 void PnnTrunk::zero_grad() {

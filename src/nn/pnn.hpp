@@ -26,7 +26,10 @@ class PnnTrunk : public Trunk {
 
   const Matrix& forward(const Matrix& x) override;
   void forward_inference_into(const Matrix& x, Matrix& out) const override;
-  const Matrix& backward(const Matrix& grad_out) override;
+  void backward(const Matrix& grad_out) override;
+  // Differentiates column 2's own path: the frozen column's hiddens count
+  // as constants, so no gradient flows back through the lateral inputs.
+  const Matrix& input_grad(const Matrix& grad_out, int first_col) override;
 
   void zero_grad() override;
   std::vector<Matrix*> params() override;  // column-2 parameters only
@@ -42,6 +45,12 @@ class PnnTrunk : public Trunk {
   static PnnTrunk load(BinaryReader& r);
 
  private:
+  // Shared descent of both backward passes: the gradient w.r.t. layer 0's
+  // pre-activation output. Each layer above 0 passes back only its
+  // own-column input slice (the lateral slice would feed the frozen column)
+  // and, with `param_grads`, accumulates its parameter gradients.
+  const Matrix& layer0_delta(const Matrix& grad_out, bool param_grads);
+
   Mlp base_;  // frozen column 1
 
   // Column 2: layer 0 is in_dim x h0; layer l >= 1 is (h_{l-1} + h1_{l-1}) x h_l
@@ -61,9 +70,10 @@ class PnnTrunk : public Trunk {
   Matrix out_;
   bool cached_{false};
 
-  // Backward scratch: gradient ping-pong buffers.
+  // Backward scratch: gradient ping-pong buffers, and input_grad()'s result.
   Matrix gbuf_a_;
   Matrix gbuf_b_;
+  Matrix gin_;
 };
 
 }  // namespace adsec

@@ -167,21 +167,17 @@ void Sac::update(const ReplayBuffer& buffer, Rng& rng) {
   }
   last_actor_loss_ = aloss;
 
-  // Input gradients of the critics give dL/da (last act_dim columns); the
-  // critic parameter grads accumulated here are discarded below. The
-  // returned references stay valid: each points into its own network.
-  const Matrix& gin1 = q1_.backward(s.g1);
-  const Matrix& gin2 = q2_.backward(s.g2);
-  q1_.zero_grad();
-  q2_.zero_grad();
+  // dL/da is the critics' input gradient over the action columns; the
+  // critics' parameter gradients stay untouched. The returned references
+  // stay valid: each points into its own network.
+  const int obs_dim = s.batch.obs.cols();
+  const Matrix& ga1 = q1_.input_grad(s.g1, obs_dim);
+  const Matrix& ga2 = q2_.input_grad(s.g2, obs_dim);
 
   const int act_dim = actor_.act_dim();
-  const int obs_dim = s.batch.obs.cols();
   s.dL_da.resize(B, act_dim);
   for (int i = 0; i < B; ++i) {
-    for (int j = 0; j < act_dim; ++j) {
-      s.dL_da(i, j) = gin1(i, obs_dim + j) + gin2(i, obs_dim + j);
-    }
+    for (int j = 0; j < act_dim; ++j) s.dL_da(i, j) = ga1(i, j) + ga2(i, j);
   }
   s.dL_dlogp.resize(B, 1);
   for (int i = 0; i < B; ++i) s.dL_dlogp(i, 0) = alpha / B;

@@ -106,15 +106,13 @@ void Td3::update(const ReplayBuffer& buffer, Rng& rng) {
   q1_.forward(s.qin_pi);
   s.gq.resize(B, 1);
   s.gq.fill(-1.0 / B);  // maximize Q1
-  const Matrix& gin = q1_.backward(s.gq);
-  q1_.zero_grad();
+  const Matrix& ga = q1_.input_grad(s.gq, s.batch.obs.cols());  // dQ1/da
 
-  const int obs_dim = s.batch.obs.cols();
   s.da.resize(B, act_dim_);
   for (int i = 0; i < B; ++i) {
     for (int j = 0; j < act_dim_; ++j) {
       const double av = s.a(i, j);
-      s.da(i, j) = gin(i, obs_dim + j) * (1.0 - av * av);  // through tanh
+      s.da(i, j) = ga(i, j) * (1.0 - av * av);  // through tanh
     }
   }
   actor_.backward(s.da);

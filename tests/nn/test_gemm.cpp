@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "nn/matrix.hpp"
@@ -98,6 +99,44 @@ TEST(GemmParity, MatmulNtMatchesReference) {
     matmul_nt_into(c, a, b);
     expect_same(c, reference::matmul_nt(a, b));
   }
+}
+
+// A row range of B gives exactly the matching columns of the full nt
+// product (same chain per element on every path), for the prefix, suffix,
+// interior, single-row and empty ranges.
+TEST(GemmParity, MatmulNtRowsMatchesFullProductColumns) {
+  Rng rng(1237);
+  for (const auto& [m, n, k] : kShapes) {
+    const Matrix a = make_random(m, k, rng);
+    const Matrix b = make_random(n, k, rng);
+    Matrix full;
+    matmul_nt_into(full, a, b);
+    const std::vector<std::pair<int, int>> ranges = {
+        {0, n}, {0, n / 2}, {n / 2, n}, {n / 3, (2 * n + 2) / 3}, {n - 1, n}, {n, n}};
+    for (const auto& [r0, r1] : ranges) {
+      Matrix c;
+      matmul_nt_rows_into(c, a, b, r0, r1);
+      ASSERT_EQ(c.rows(), m);
+      ASSERT_EQ(c.cols(), r1 - r0);
+      for (int i = 0; i < m; ++i) {
+        for (int j = 0; j < r1 - r0; ++j) {
+          const double got = c(i, j), want = full(i, r0 + j);
+          EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+              << "m=" << m << " n=" << n << " k=" << k << " rows [" << r0 << ", " << r1
+              << ") at (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
+  Matrix c;
+  EXPECT_THROW(matmul_nt_rows_into(c, Matrix(2, 3), Matrix(4, 3), -1, 2),
+               std::invalid_argument);
+  EXPECT_THROW(matmul_nt_rows_into(c, Matrix(2, 3), Matrix(4, 3), 3, 2),
+               std::invalid_argument);
+  EXPECT_THROW(matmul_nt_rows_into(c, Matrix(2, 3), Matrix(4, 3), 0, 5),
+               std::invalid_argument);
+  EXPECT_THROW(matmul_nt_rows_into(c, Matrix(2, 3), Matrix(4, 2), 0, 4),
+               std::invalid_argument);
 }
 
 TEST(GemmParity, AccumulateAddsProductOnce) {

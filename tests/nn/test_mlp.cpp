@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <ostream>
+#include <string>
+#include <vector>
 
 namespace adsec {
 namespace {
@@ -43,6 +47,7 @@ TEST(Mlp, BackwardWithoutForwardThrows) {
   Mlp mlp({2, 4, 1}, Activation::Tanh, rng);
   Matrix g(1, 1);
   EXPECT_THROW(mlp.backward(g), std::logic_error);
+  EXPECT_THROW(mlp.input_grad(g, 0), std::logic_error);
 }
 
 class MlpGradientCheck : public ::testing::TestWithParam<Activation> {};
@@ -87,7 +92,10 @@ TEST_P(MlpGradientCheck, InputGradientMatchesFiniteDifferences) {
   Matrix c = Matrix::randn(2, 2, rng, 1.0);
 
   mlp.forward(x);
-  const Matrix gin = mlp.backward(c);
+  const Matrix gin = mlp.input_grad(c, 0);
+  const Matrix tail = mlp.input_grad(c, 1);  // columns 1.. only
+  ASSERT_EQ(gin.cols(), 3);
+  ASSERT_EQ(tail.cols(), 2);
 
   const double eps = 1e-6;
   for (int i = 0; i < x.rows(); ++i) {
@@ -98,6 +106,9 @@ TEST_P(MlpGradientCheck, InputGradientMatchesFiniteDifferences) {
       const double fd =
           (weighted_output_sum(mlp, xp, c) - weighted_output_sum(mlp, xm, c)) / (2 * eps);
       EXPECT_NEAR(gin(i, j), fd, 1e-5);
+      if (j >= 1) {
+        EXPECT_NEAR(tail(i, j - 1), fd, 1e-5);
+      }
     }
   }
 }
@@ -105,6 +116,114 @@ TEST_P(MlpGradientCheck, InputGradientMatchesFiniteDifferences) {
 INSTANTIATE_TEST_SUITE_P(Activations, MlpGradientCheck,
                          ::testing::Values(Activation::ReLU, Activation::Tanh,
                                            Activation::Identity));
+
+TEST(Mlp, InputGradRejectsBadFirstColumn) {
+  Rng rng(3);
+  Mlp mlp({2, 4, 1}, Activation::Tanh, rng);
+  mlp.forward(Matrix(1, 2));
+  Matrix g(1, 1);
+  EXPECT_THROW(mlp.input_grad(g, -1), std::invalid_argument);
+  EXPECT_THROW(mlp.input_grad(g, 3), std::invalid_argument);
+  EXPECT_EQ(mlp.input_grad(g, 2).cols(), 0);
+}
+
+// ---- Bit parity of the two backward passes against one full pass ---------
+//
+// The reference is the combined backward the two passes replace, spelled
+// out with the same kernels: per layer, parameter gradients accumulated
+// into zeroed matrices, then the full input gradient through every layer.
+// Every value the split passes keep must come out bit for bit the same.
+
+struct FullBackward {
+  std::vector<Matrix> w_grads, b_grads;
+  Matrix input_grad;
+};
+
+FullBackward reference_backward(const Mlp& mlp, const Matrix& x, const Matrix& grad_out) {
+  const int L = mlp.num_layers();
+  FullBackward r;
+  r.w_grads.resize(static_cast<std::size_t>(L));
+  r.b_grads.resize(static_cast<std::size_t>(L));
+  Matrix cur = grad_out, next;
+  for (int l = L - 1; l >= 0; --l) {
+    const auto ul = static_cast<std::size_t>(l);
+    if (l < L - 1) apply_activation_grad(mlp.hidden_activation(), mlp.hidden(l), cur);
+    const Matrix& input = l == 0 ? x : mlp.hidden(l - 1);
+    r.w_grads[ul] = Matrix(input.cols(), cur.cols());
+    r.b_grads[ul] = Matrix(1, cur.cols());
+    matmul_tn_into(r.w_grads[ul], input, cur, /*accumulate=*/true);
+    column_sum_into(r.b_grads[ul], cur, /*accumulate=*/true);
+    matmul_nt_into(next, cur, mlp.weight(l));
+    std::swap(cur, next);
+  }
+  r.input_grad = cur;
+  return r;
+}
+
+// got == columns [first_col, ...) of want, compared as bit patterns.
+void expect_bits_equal(const Matrix& got, const Matrix& want, int first_col,
+                       const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols() - first_col) << what;
+  for (int i = 0; i < got.rows(); ++i) {
+    for (int j = 0; j < got.cols(); ++j) {
+      const double g = got(i, j), w = want(i, first_col + j);
+      if (std::memcmp(&g, &w, sizeof(double)) != 0) {
+        ADD_FAILURE() << what << ": (" << i << ", " << j << ") got " << g << " want " << w;
+        return;
+      }
+    }
+  }
+}
+
+struct SplitShape {
+  std::vector<int> dims;
+  int batch;
+  int act_dim;  // input_grad is also checked from column in_dim - act_dim
+};
+
+// Names the instantiated tests by shape, e.g. "13-7-5-3_batch3".
+void PrintTo(const SplitShape& shape, std::ostream* os) {
+  for (std::size_t l = 0; l < shape.dims.size(); ++l) *os << (l ? "-" : "") << shape.dims[l];
+  *os << "_batch" << shape.batch;
+}
+
+class MlpBackwardSplit : public ::testing::TestWithParam<SplitShape> {};
+
+TEST_P(MlpBackwardSplit, PassesMatchFullBackwardBitForBit) {
+  const SplitShape& shape = GetParam();
+  Rng rng(17);
+  Mlp mlp(shape.dims, Activation::ReLU, rng);
+  const Matrix x = Matrix::randn(shape.batch, mlp.in_dim(), rng, 1.0);
+  const Matrix g = Matrix::randn(shape.batch, mlp.out_dim(), rng, 0.1);
+
+  mlp.forward(x);
+  const FullBackward want = reference_backward(mlp, x, g);
+
+  for (const int first_col : {0, mlp.in_dim() - shape.act_dim}) {
+    expect_bits_equal(mlp.input_grad(g, first_col), want.input_grad, first_col,
+                      "input_grad from column " + std::to_string(first_col));
+  }
+  for (const Matrix* pg : mlp.grads()) {
+    for (std::size_t k = 0; k < pg->size(); ++k) ASSERT_EQ(pg->data()[k], 0.0);
+  }
+
+  mlp.backward(g);
+  const auto grads = mlp.grads();  // weights, then biases
+  const auto L = static_cast<std::size_t>(mlp.num_layers());
+  for (std::size_t l = 0; l < L; ++l) {
+    expect_bits_equal(*grads[l], want.w_grads[l], 0, "weight grad " + std::to_string(l));
+    expect_bits_equal(*grads[L + l], want.b_grads[l], 0, "bias grad " + std::to_string(l));
+  }
+}
+
+// The zoo's SAC critic (camera observation + action) and actor at batch 64,
+// and a batch-3 net whose input-gradient products take the GEMV path and
+// whose weight-gradient products have ragged panels.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, MlpBackwardSplit,
+    ::testing::Values(SplitShape{{269, 64, 64, 1}, 64, 2}, SplitShape{{267, 64, 64, 4}, 64, 2},
+                      SplitShape{{13, 7, 5, 3}, 3, 2}));
 
 TEST(Mlp, SoftUpdateBlendsParameters) {
   Rng rng(5);

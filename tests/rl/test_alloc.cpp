@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 // GCC pairs gtest's inlined `new TestClass` with our replacement sized
@@ -15,6 +16,8 @@
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
 #include "agents/e2e_agent.hpp"
+#include "attack/attacker.hpp"
+#include "nn/pnn.hpp"
 #include "nn/simd.hpp"
 #include "nn/workspace.hpp"
 #include "rl/replay.hpp"
@@ -119,6 +122,30 @@ TEST(SteadyStateAllocations, Td3UpdateIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(allocs, 0) << "Td3::update allocated on the steady-state path";
 }
 
+// train_pnn_column's update: SAC with a PnnTrunk actor, whose backward
+// passes reuse their own-column slice scratch once warm.
+TEST(SteadyStateAllocations, PnnColumnSacUpdateIsAllocationFreeAfterWarmup) {
+  const int obs_dim = 12, act_dim = 2;
+  Rng rng(12);
+  const Mlp base({obs_dim, 32, 32, 2 * act_dim}, Activation::ReLU, rng);
+  GaussianPolicy column(std::make_unique<PnnTrunk>(base, /*init_from_base=*/true, rng),
+                        act_dim);
+  SacConfig cfg;
+  cfg.batch_size = 32;
+  cfg.critic_hidden = {32, 32};
+  Sac sac(std::move(column), cfg, rng);
+
+  ReplayBuffer buffer(4096, obs_dim, act_dim);
+  fill_buffer(buffer, obs_dim, act_dim, 256, rng);
+
+  for (int i = 0; i < 3; ++i) sac.update(buffer, rng);
+
+  const long allocs = count_allocs([&] {
+    for (int i = 0; i < 5; ++i) sac.update(buffer, rng);
+  });
+  EXPECT_EQ(allocs, 0) << "PNN-column Sac::update allocated on the steady-state path";
+}
+
 TEST(SteadyStateAllocations, ReplaySampleIntoReusesBatchStorage) {
   const int obs_dim = 8, act_dim = 2;
   Rng rng(9);
@@ -188,6 +215,31 @@ TEST(SteadyStateAllocations, E2EDecideIsAllocationFreeAfterWarmup) {
   });
   EXPECT_EQ(allocs, 0) << "decide() allocated on the steady-state path (sink="
                        << sink << ")";
+}
+
+// Camera attackers render the stacked frame straight into their staging
+// row, like E2EAgent::decide, so a steady-state attacked episode performs
+// no per-step attacker allocations.
+TEST(SteadyStateAllocations, CameraAttackerDecideIsAllocationFreeAfterWarmup) {
+  Rng rng(43);
+  const int obs_dim = StackedCameraObserver({}, 3).dim();
+  LearnedCameraAttacker learned(GaussianPolicy::make_mlp(obs_dim, {32, 32}, 1, rng), 1.0);
+  DeterministicCameraAttacker deterministic(Mlp({obs_dim, 32, 32, 1}, Activation::ReLU, rng),
+                                            1.0);
+  Rng world_rng(7);
+  World world = make_scenario(ScenarioConfig{}, world_rng);
+  double sink = 0.0;
+  for (Attacker* attacker : {static_cast<Attacker*>(&learned),
+                             static_cast<Attacker*>(&deterministic)}) {
+    attacker->reset(world);
+    sink += attacker->decide(world);  // warm
+    const long allocs = count_allocs([&] {
+      for (int i = 0; i < 20; ++i) sink += attacker->decide(world);
+    });
+    EXPECT_EQ(allocs, 0) << attacker->name()
+                         << " decide() allocated on the steady-state path (sink=" << sink
+                         << ")";
+  }
 }
 
 // The workspace telemetry byte counter corroborates the allocator shim: the
