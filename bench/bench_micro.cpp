@@ -421,7 +421,8 @@ void write_gemm_kernels_table() {
 // can execute the AVX2 tier — bench_compare.py skips its gates when the
 // recorded simd_tier differs from the baseline's, so a scalar-only host
 // neither fakes nor fails this table. Acceptance floor: >= 1.8x on
-// gemm_256.
+// gemm_256. The adam_64k row times one optimizer step, which gives the
+// same bits on both tiers.
 void write_simd_kernels_table() {
   const std::vector<simd::Tier> tiers = simd::available_tiers();
   if (std::find(tiers.begin(), tiers.end(), simd::Tier::Avx2) == tiers.end()) {
@@ -465,6 +466,36 @@ void write_simd_kernels_table() {
     const auto op = [&] { linear_forward_into(y, x, w, bias, Activation::ReLU); };
     row("gemv_1x256", timed(simd::Tier::Scalar, op, 2048),
         timed(simd::Tier::Avx2, op, 2048));
+  }
+
+  {
+    // One Adam::step over the zoo's SAC parameters: the 267-64-64-4 actor
+    // and two 269-64-64-1 critics, 64.6k in all. Each step first refills the
+    // gradients (Adam zeroes them), so the moments settle instead of
+    // decaying into subnormals; their global norm stays under the clip, as
+    // in training.
+    std::vector<Mlp> nets;
+    nets.emplace_back(std::vector<int>{267, 64, 64, 4}, Activation::ReLU, rng);
+    for (int q = 0; q < 2; ++q) {
+      nets.emplace_back(std::vector<int>{269, 64, 64, 1}, Activation::ReLU, rng);
+    }
+    std::vector<Matrix*> params, grads;
+    for (Mlp& net : nets) {
+      const auto p = net.params();
+      const auto g = net.grads();
+      params.insert(params.end(), p.begin(), p.end());
+      grads.insert(grads.end(), g.begin(), g.end());
+    }
+    std::vector<Matrix> fill;
+    for (const Matrix* g : grads) {
+      fill.push_back(Matrix::randn(g->rows(), g->cols(), rng, 0.01));
+    }
+    Adam opt(params, grads);
+    const auto op = [&] {
+      for (std::size_t k = 0; k < grads.size(); ++k) grads[k]->copy_from(fill[k]);
+      opt.step();
+    };
+    row("adam_64k", timed(simd::Tier::Scalar, op, 64), timed(simd::Tier::Avx2, op, 64));
   }
 
   bench::maybe_write_csv(t, "simd_kernels");

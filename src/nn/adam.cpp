@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/error.hpp"
+#include "nn/kernel_table.hpp"
 
 namespace adsec {
 
@@ -16,7 +17,11 @@ Adam::Adam(std::vector<Matrix*> params, std::vector<Matrix*> grads,
   }
   m_.reserve(params_.size());
   v_.reserve(params_.size());
-  for (const auto* p : params_) {
+  for (std::size_t k = 0; k < params_.size(); ++k) {
+    const Matrix* p = params_[k];
+    if (grads_[k]->rows() != p->rows() || grads_[k]->cols() != p->cols()) {
+      throw std::invalid_argument("Adam: params/grads shape mismatch");
+    }
     m_.emplace_back(p->rows(), p->cols());
     v_.emplace_back(p->rows(), p->cols());
   }
@@ -39,27 +44,19 @@ void Adam::step() {
     }
   }
 
-  // Hoisted pointers and constants; the expressions themselves are kept
-  // verbatim so parameter trajectories are unchanged.
-  const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
-  const double b1 = config_.beta1, b2 = config_.beta2;
-  const double lr = config_.lr, eps = config_.eps;
+  // The per-parameter update (and the gradient reset) is the active SIMD
+  // tier's kernel; every tier gives the same bits.
+  const detail::KernelTable& kt = detail::active_kernel_table();
+  const detail::AdamStep s{
+      .b1 = config_.beta1,
+      .b2 = config_.beta2,
+      .bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_)),
+      .bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_)),
+      .lr = config_.lr,
+      .eps = config_.eps};
   for (std::size_t k = 0; k < params_.size(); ++k) {
-    double* __restrict p = params_[k]->data();
-    double* __restrict g = grads_[k]->data();
-    double* __restrict m = m_[k].data();
-    double* __restrict v = v_[k].data();
-    const std::size_t n = params_[k]->size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double gi = g[i];
-      m[i] = b1 * m[i] + (1.0 - b1) * gi;
-      v[i] = b2 * v[i] + (1.0 - b2) * gi * gi;
-      const double mhat = m[i] / bc1;
-      const double vhat = v[i] / bc2;
-      p[i] -= lr * mhat / (std::sqrt(vhat) + eps);
-    }
-    grads_[k]->set_zero();
+    kt.adam(params_[k]->data(), grads_[k]->data(), m_[k].data(), v_[k].data(),
+            params_[k]->size(), s);
   }
 }
 

@@ -1,8 +1,10 @@
 #include "nn/matrix.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
@@ -72,6 +74,28 @@ void Matrix::scale_inplace(double s) {
   for (auto& x : data_) x *= s;
 }
 
+void Matrix::blend_inplace(double keep, double scale, const Matrix& other) {
+  if (rows_ != other.rows_ || cols_ != other.cols_) {
+    throw std::invalid_argument("Matrix::blend_inplace: shape mismatch");
+  }
+  double* __restrict p = data_.data();
+  const double* __restrict q = other.data_.data();
+  const std::size_t n = data_.size();
+  for (std::size_t i = 0; i < n; ++i) p[i] = keep * p[i] + scale * q[i];
+}
+
+bool Matrix::all_finite() const {
+  // Infinities and NaNs are exactly the doubles whose 11 exponent bits are
+  // all ones, the one case where adding 1 to that field carries into bit
+  // 11. An OR over integer lanes with no early exit vectorizes at -O3; a
+  // bool reduction over std::isfinite does not.
+  std::uint64_t bad = 0;
+  for (const double x : data_) {
+    bad |= (((std::bit_cast<std::uint64_t>(x) >> 52) & 0x7FF) + 1) >> 11;
+  }
+  return bad == 0;
+}
+
 void apply_activation(Activation act, Matrix& z) {
   switch (act) {
     case Activation::Identity:
@@ -94,11 +118,14 @@ void apply_activation_grad(Activation act, const Matrix& h, Matrix& grad) {
   switch (act) {
     case Activation::Identity:
       return;
-    case Activation::ReLU:
-      for (std::size_t i = 0; i < h.size(); ++i) {
-        if (h.data()[i] <= 0.0) grad.data()[i] = 0.0;
-      }
+    case Activation::ReLU: {
+      // A select rather than a branch, so -O3 vectorizes it. NaN compares
+      // false and keeps its gradient; -0.0 compares true, as before.
+      const double* __restrict hv = h.data();
+      double* __restrict g = grad.data();
+      for (std::size_t i = 0; i < h.size(); ++i) g[i] = hv[i] <= 0.0 ? 0.0 : g[i];
       return;
+    }
     case Activation::Tanh:
       for (std::size_t i = 0; i < h.size(); ++i) {
         const double hv = h.data()[i];
@@ -155,12 +182,14 @@ inline double act_scalar(Activation act, double v) {
   return v;
 }
 
-// kc steps of rank-1 updates into a kMr x kNr accumulator tile. Panels are
-// packed contiguously (A as [p][kMr], B as [p][kNr]) and zero-padded at the
-// edges, so this kernel has no bounds logic. Ascending p keeps the per-
-// element summation chain identical to the reference kernels.
+// kc steps of rank-1 updates into a kMr x kNr accumulator tile, which it
+// overwrites. Panels are packed contiguously (A as [p][kMr], B as [p][kNr])
+// and zero-padded at the edges, so this kernel has no bounds logic. Chains
+// start from +0.0 and run in ascending p, identical to the reference
+// kernels.
 void micro_kernel(int kc, const double* __restrict ap, const double* __restrict bp,
                   double* __restrict acc) {
+  for (int i = 0; i < kMr * kNr; ++i) acc[i] = 0.0;
   for (int p = 0; p < kc; ++p) {
     const double* __restrict av = ap + static_cast<std::size_t>(p) * kMr;
     const double* __restrict bv = bp + static_cast<std::size_t>(p) * kNr;
@@ -169,6 +198,33 @@ void micro_kernel(int kc, const double* __restrict ap, const double* __restrict 
       double* __restrict accr = acc + static_cast<std::size_t>(r) * kNr;
       for (int c = 0; c < kNr; ++c) accr[c] += a * bv[c];
     }
+  }
+}
+
+// Scalar-tier full-panel packs (see kernel_table.hpp for the layout). The
+// row copy takes w (kMr or kNr) as a template argument: with a runtime
+// width, GCC turns the copy loop into a memcpy call per row.
+template <int W>
+void pack_rows_fixed(double* __restrict dst, const double* __restrict src,
+                     std::ptrdiff_t ld, int kc) {
+  for (int p = 0; p < kc; ++p, dst += W, src += ld) {
+    for (int c = 0; c < W; ++c) dst[c] = src[c];
+  }
+}
+
+void pack_rows_scalar(double* dst, const double* src, std::ptrdiff_t ld, int kc,
+                      int w) {
+  if (w == kNr) {
+    pack_rows_fixed<kNr>(dst, src, ld, kc);
+  } else {
+    pack_rows_fixed<kMr>(dst, src, ld, kc);
+  }
+}
+
+void pack_cols_scalar(double* __restrict dst, const double* __restrict src,
+                      std::ptrdiff_t ld, int kc, int w) {
+  for (int p = 0; p < kc; ++p, dst += w) {
+    for (int c = 0; c < w; ++c) dst[c] = src[c * ld + p];
   }
 }
 
@@ -194,6 +250,23 @@ void epilogue_scalar(double* __restrict row, const double* __restrict bias,
   }
 }
 
+// The Adam update. This TU's -ffp-contract=off keeps every multiply and
+// add separate, which is the arithmetic the AVX2 entry reproduces lane by
+// lane; std::sqrt's errno check keeps this loop scalar.
+void adam_scalar(double* __restrict p, double* __restrict g, double* __restrict m,
+                 double* __restrict v, std::size_t n, const detail::AdamStep& s) {
+  const double b1 = s.b1, b2 = s.b2, bc1 = s.bc1, bc2 = s.bc2, lr = s.lr, eps = s.eps;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double gi = g[i];
+    m[i] = b1 * m[i] + (1.0 - b1) * gi;
+    v[i] = b2 * v[i] + (1.0 - b2) * gi * gi;
+    const double mhat = m[i] / bc1;
+    const double vhat = v[i] / bc2;
+    p[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+    g[i] = 0.0;
+  }
+}
+
 // Pack buffers grow once and are reused for every subsequent call on the
 // thread, so steady-state GEMM performs no heap allocation. thread_local
 // keeps parallel-eval workers race-free without locks; the 32-byte-aligned
@@ -204,6 +277,23 @@ thread_local AlignedVector tl_pack_b;
 
 inline void ensure_capacity(AlignedVector& buf, std::size_t need) {
   if (buf.size() < need) buf.resize(need);
+}
+
+// Packs one panel as [p][w] for p < kc: lane c < live of step p is
+// src[c * s_lane + p * s_step], lanes live..w-1 are zero padding. Full
+// panels with a unit stride (every full panel of the three views) go to the
+// tier's packs; ragged edge panels are zeroed, then filled.
+void pack_panel(const detail::KernelTable& kt, double* __restrict dst,
+                const double* __restrict src, std::ptrdiff_t s_lane,
+                std::ptrdiff_t s_step, int kc, int w, int live) {
+  if (live == w && s_lane == 1) return kt.pack_rows(dst, src, s_step, kc, w);
+  if (live == w && s_step == 1) return kt.pack_cols(dst, src, s_lane, kc, w);
+  std::fill(dst, dst + static_cast<std::size_t>(kc) * w, 0.0);
+  for (int c = 0; c < live; ++c) {
+    for (int p = 0; p < kc; ++p) {
+      dst[static_cast<std::size_t>(p) * w + c] = src[c * s_lane + p * s_step];
+    }
+  }
 }
 
 struct Epilogue {
@@ -295,14 +385,9 @@ void gemm(double* cdata, int m, int n, int k, AView A, BView B, bool accumulate,
     // B panels: panel-major [panel][p][nr], ragged last panel zero-padded.
     for (int panel = 0; panel < n_panels; ++panel) {
       const int j0 = panel * t_nr;
-      const int nr = std::min(t_nr, n - j0);
-      double* __restrict dst = bbuf + static_cast<std::size_t>(panel) * kc * t_nr;
-      for (int p = 0; p < kc; ++p) {
-        const double* __restrict src = B.p + (p0 + p) * B.sp + j0 * B.sj;
-        for (int c = 0; c < t_nr; ++c) {
-          dst[static_cast<std::size_t>(p) * t_nr + c] = c < nr ? src[c * B.sj] : 0.0;
-        }
-      }
+      pack_panel(kt, bbuf + static_cast<std::size_t>(panel) * kc * t_nr,
+                 B.p + p0 * B.sp + j0 * B.sj, B.sj, B.sp, kc, t_nr,
+                 std::min(t_nr, n - j0));
     }
 
     for (int i0 = 0; i0 < m; i0 += kMc) {
@@ -310,14 +395,9 @@ void gemm(double* cdata, int m, int n, int k, AView A, BView B, bool accumulate,
       const int m_panels = (mb + t_mr - 1) / t_mr;
       for (int ip = 0; ip < m_panels; ++ip) {
         const int i1 = i0 + ip * t_mr;
-        const int mr = std::min(t_mr, m - i1);
-        double* __restrict dst = abuf + static_cast<std::size_t>(ip) * kc * t_mr;
-        for (int p = 0; p < kc; ++p) {
-          const double* __restrict src = A.p + i1 * A.si + (p0 + p) * A.sp;
-          for (int r = 0; r < t_mr; ++r) {
-            dst[static_cast<std::size_t>(p) * t_mr + r] = r < mr ? src[r * A.si] : 0.0;
-          }
-        }
+        pack_panel(kt, abuf + static_cast<std::size_t>(ip) * kc * t_mr,
+                   A.p + i1 * A.si + p0 * A.sp, A.si, A.sp, kc, t_mr,
+                   std::min(t_mr, m - i1));
       }
 
       for (int ip = 0; ip < m_panels; ++ip) {
@@ -327,7 +407,7 @@ void gemm(double* cdata, int m, int n, int k, AView A, BView B, bool accumulate,
         for (int panel = 0; panel < n_panels; ++panel) {
           const int j0 = panel * t_nr;
           const int nr = std::min(t_nr, n - j0);
-          alignas(32) double acc[detail::kMaxMr * detail::kMaxNr] = {};
+          alignas(32) double acc[detail::kMaxMr * detail::kMaxNr];
           kt.micro(kc, ap, bbuf + static_cast<std::size_t>(panel) * kc * t_nr, acc);
 
           const bool add = accumulate || !first;
@@ -372,8 +452,15 @@ void prep_dest(Matrix& c, int m, int n, bool accumulate, const char* who) {
 namespace detail {
 
 const KernelTable& scalar_kernel_table() {
-  static const KernelTable table{kMr, kNr, micro_kernel, gemv_axpy_scalar,
-                                 gemv_dot_scalar, epilogue_scalar};
+  static const KernelTable table{.mr = kMr,
+                                 .nr = kNr,
+                                 .micro = micro_kernel,
+                                 .pack_rows = pack_rows_scalar,
+                                 .pack_cols = pack_cols_scalar,
+                                 .gemv_axpy = gemv_axpy_scalar,
+                                 .gemv_dot = gemv_dot_scalar,
+                                 .epilogue = epilogue_scalar,
+                                 .adam = adam_scalar};
   return table;
 }
 

@@ -73,6 +73,12 @@ class Matrix {
   // this += scale * other.
   void axpy_inplace(double scale, const Matrix& other);
   void scale_inplace(double s);
+  // this = keep * this + scale * other: two multiplies, then the add, never
+  // fused (Polyak target updates).
+  void blend_inplace(double keep, double scale, const Matrix& other);
+
+  // Whether no element is infinite or NaN.
+  bool all_finite() const;
 
   std::vector<double> to_vector() const { return {data_.begin(), data_.end()}; }
 

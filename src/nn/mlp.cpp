@@ -157,19 +157,12 @@ Mlp Mlp::load(BinaryReader& r) {
 
 void Mlp::soft_update_from(const Mlp& other, double tau) {
   if (dims_ != other.dims_) throw std::invalid_argument("soft_update_from: shape mismatch");
-  // Fused blend: p = (1 - tau) * p + tau * o in one pass. Same operation
-  // sequence as the old scale+axpy pair, so results (including the tau = 1
-  // exact-copy case used by warm starts) are bit-identical.
+  // p = (1 - tau) * p + tau * o in one pass; tau = 1 (warm starts) copies o
+  // exactly.
   const double keep = 1.0 - tau;
-  auto blend = [keep, tau](Matrix& dst, const Matrix& src) {
-    double* __restrict p = dst.data();
-    const double* __restrict o = src.data();
-    const std::size_t n = dst.size();
-    for (std::size_t i = 0; i < n; ++i) p[i] = keep * p[i] + tau * o[i];
-  };
   for (std::size_t l = 0; l < weights_.size(); ++l) {
-    blend(weights_[l], other.weights_[l]);
-    blend(biases_[l], other.biases_[l]);
+    weights_[l].blend_inplace(keep, tau, other.weights_[l]);
+    biases_[l].blend_inplace(keep, tau, other.biases_[l]);
   }
 }
 

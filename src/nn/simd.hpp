@@ -1,18 +1,21 @@
 // Runtime SIMD dispatch for the NN compute kernels.
 //
-// The blocked GEMM/GEMV drivers in matrix.cpp consume a per-tier kernel
-// table (microkernel, GEMV inner loops, fused epilogue). Which table is
-// active is decided ONCE per process, lazily on the first kernel call:
+// The blocked GEMM/GEMV drivers in matrix.cpp and Adam::step consume a
+// per-tier kernel table (microkernel, panel packs, GEMV inner loops, fused
+// epilogue, Adam step). Which table is active is decided ONCE per process,
+// lazily on the first kernel call:
 //
 //   1. `ADSEC_SIMD=scalar|avx2` forces a tier (Error{Config} if the value
 //      is unknown or the CPU lacks the instructions);
 //   2. otherwise the best tier the CPU supports wins (CPUID probe).
 //
 // Determinism contract: results are bit-identical across runs FOR A GIVEN
-// TIER. Tiers may differ from each other in the last ulp (the AVX2 tier
-// contracts multiply-add into FMA), which is why the active tier is
-// recorded in telemetry (`nn.simd.tier` gauge) and in every BENCH JSON,
-// and why the simd-parity CI job runs the suite under both tiers.
+// TIER. GEMM/GEMV results may differ between tiers in the last ulp (the
+// AVX2 microkernel and GEMV loops use explicit FMA), which is why the
+// active tier is recorded in telemetry (`nn.simd.tier` gauge) and in every
+// BENCH JSON, and why the simd-parity CI job runs the suite under both
+// tiers. The panel packs and the Adam step give the same bits on every
+// tier (see nn/kernel_table.hpp).
 // `force_tier`/`reset_tier` exist for tests and benches that compare tiers
 // in-process; production code never calls them.
 #pragma once

@@ -13,12 +13,29 @@ ReplayBuffer::ReplayBuffer(int capacity, int obs_dim, int act_dim)
   if (capacity < 1 || obs_dim < 1 || act_dim < 1) {
     throw std::invalid_argument("ReplayBuffer: bad dimensions");
   }
-  obs_.resize(static_cast<std::size_t>(capacity) * obs_dim);
-  act_.resize(static_cast<std::size_t>(capacity) * act_dim);
-  rew_.resize(static_cast<std::size_t>(capacity));
-  next_obs_.resize(static_cast<std::size_t>(capacity) * obs_dim);
-  done_.resize(static_cast<std::size_t>(capacity));
+  // Reserved, not resized: the rows are appended as add() writes them, so
+  // the pages of never-written capacity are never touched.
+  obs_.reserve(static_cast<std::size_t>(capacity) * obs_dim);
+  act_.reserve(static_cast<std::size_t>(capacity) * act_dim);
+  rew_.reserve(static_cast<std::size_t>(capacity));
+  next_obs_.reserve(static_cast<std::size_t>(capacity) * obs_dim);
+  done_.reserve(static_cast<std::size_t>(capacity));
 }
+
+namespace {
+
+// Writes row `row` of a row-major store: appended while the ring is still
+// filling (then row is the current row count), overwritten once it wraps.
+void put_row(std::vector<double>& v, int row, std::span<const double> x) {
+  const auto at = static_cast<std::size_t>(row) * x.size();
+  if (at == v.size()) {
+    v.insert(v.end(), x.begin(), x.end());
+  } else {
+    std::copy(x.begin(), x.end(), v.begin() + static_cast<std::ptrdiff_t>(at));
+  }
+}
+
+}  // namespace
 
 void ReplayBuffer::add(std::span<const double> obs, std::span<const double> act,
                        double rew, std::span<const double> next_obs, bool done) {
@@ -27,13 +44,13 @@ void ReplayBuffer::add(std::span<const double> obs, std::span<const double> act,
       static_cast<int>(act.size()) != act_dim_) {
     throw std::invalid_argument("ReplayBuffer::add: dimension mismatch");
   }
-  const auto o = static_cast<std::size_t>(head_) * obs_dim_;
-  const auto a = static_cast<std::size_t>(head_) * act_dim_;
-  std::memcpy(obs_.data() + o, obs.data(), sizeof(double) * obs.size());
-  std::memcpy(act_.data() + a, act.data(), sizeof(double) * act.size());
-  std::memcpy(next_obs_.data() + o, next_obs.data(), sizeof(double) * next_obs.size());
-  rew_[static_cast<std::size_t>(head_)] = rew;
-  done_[static_cast<std::size_t>(head_)] = done ? 1.0 : 0.0;
+  const double r[1] = {rew};
+  const double d[1] = {done ? 1.0 : 0.0};
+  put_row(obs_, head_, obs);
+  put_row(act_, head_, act);
+  put_row(next_obs_, head_, next_obs);
+  put_row(rew_, head_, r);
+  put_row(done_, head_, d);
   head_ = (head_ + 1) % capacity_;
   if (size_ < capacity_) ++size_;
 }
@@ -67,6 +84,7 @@ Batch ReplayBuffer::sample(int batch_size, Rng& rng) const {
 void ReplayBuffer::clear() {
   size_ = 0;
   head_ = 0;
+  for (auto* v : {&obs_, &act_, &rew_, &next_obs_, &done_}) v->clear();
 }
 
 void ReplayBuffer::save(BinaryWriter& w) const {
@@ -77,18 +95,9 @@ void ReplayBuffer::save(BinaryWriter& w) const {
   w.write_u32(static_cast<std::uint32_t>(size_));
   w.write_u32(static_cast<std::uint32_t>(head_));
   // While size_ < capacity_ the ring has never wrapped (head_ == size_), so
-  // rows [0, size_) are exactly the occupied region; once full, all rows are
-  // live. Either way `size_` rows capture the complete state.
-  auto write_rows = [&](const std::vector<double>& v, int row_dim) {
-    std::vector<double> rows(v.begin(),
-                             v.begin() + static_cast<std::size_t>(size_) * row_dim);
-    w.write_f64_vector(rows);
-  };
-  write_rows(obs_, obs_dim_);
-  write_rows(act_, act_dim_);
-  write_rows(rew_, 1);
-  write_rows(next_obs_, obs_dim_);
-  write_rows(done_, 1);
+  // the stores hold exactly rows [0, size_); once full, all rows are live.
+  // Either way the stored rows capture the complete state.
+  for (const auto* v : {&obs_, &act_, &rew_, &next_obs_, &done_}) w.write_f64_vector(*v);
 }
 
 void ReplayBuffer::restore(BinaryReader& r) {
@@ -109,7 +118,9 @@ void ReplayBuffer::restore(BinaryReader& r) {
                     std::to_string(capacity_) + ", " + std::to_string(obs_dim_) + ", " +
                     std::to_string(act_dim_) + ")");
   }
-  if (size < 0 || size > capacity || head < 0 || head >= std::max(1, capacity)) {
+  // A ring that has not wrapped writes its next row at `size`.
+  if (size < 0 || size > capacity || head < 0 || head >= std::max(1, capacity) ||
+      (size < capacity && head != size)) {
     throw Error(ErrorCode::Corrupt, "ReplayBuffer::restore: bad ring position");
   }
   auto read_rows = [&](std::vector<double>& dst, int row_dim) {
@@ -117,7 +128,7 @@ void ReplayBuffer::restore(BinaryReader& r) {
     if (rows.size() != static_cast<std::size_t>(size) * row_dim) {
       throw Error(ErrorCode::Corrupt, "ReplayBuffer::restore: row count mismatch");
     }
-    std::copy(rows.begin(), rows.end(), dst.begin());
+    dst.assign(rows.begin(), rows.end());
   };
   read_rows(obs_, obs_dim_);
   read_rows(act_, act_dim_);

@@ -51,6 +51,9 @@ class ReplayBuffer {
   int act_dim_;
   int size_{0};
   int head_{0};
+  // Row-major stores with capacity reserved up front; they hold exactly the
+  // rows add() has written (size_ rows), so unwritten capacity stays
+  // untouched memory.
   std::vector<double> obs_;
   std::vector<double> act_;
   std::vector<double> rew_;

@@ -40,13 +40,9 @@ double grad_l2_norm(const std::vector<Matrix*>& grads) {
   return std::sqrt(sq);
 }
 
-bool params_finite(std::vector<Matrix*> params) {
-  for (const Matrix* m : params) {
-    for (std::size_t i = 0; i < m->size(); ++i) {
-      if (!std::isfinite(m->data()[i])) return false;
-    }
-  }
-  return true;
+bool params_finite(const std::vector<Matrix*>& params) {
+  return std::all_of(params.begin(), params.end(),
+                     [](const Matrix* m) { return m->all_finite(); });
 }
 
 }  // namespace

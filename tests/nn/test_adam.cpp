@@ -3,13 +3,77 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "nn/simd.hpp"
 
 namespace adsec {
 namespace {
 
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// Gradients of wide magnitude, exact zeros of both signs, and a subnormal.
+double grad_value(Rng& rng, std::size_t i) {
+  if (i % 97 == 3) return -0.0;
+  if (i % 89 == 5) return 0.0;
+  if (i % 83 == 7) return 4e-320;
+  const double r = rng.normal(0.0, 1.0);
+  return r * std::exp(8.0 * r);
+}
+
+// The Adam update as Adam::step ran it before the kernel table took it over,
+// kept as the oracle every tier must reproduce bit for bit. This file is
+// compiled with -ffp-contract=off, like the kernels.
+struct ReferenceAdam {
+  std::vector<std::vector<double>> m, v;
+  long t = 0;
+
+  void step(std::vector<std::vector<double>>& params,
+            std::vector<std::vector<double>>& grads, const AdamConfig& c) {
+    ++t;
+    const double bc1 = 1.0 - std::pow(c.beta1, static_cast<double>(t));
+    const double bc2 = 1.0 - std::pow(c.beta2, static_cast<double>(t));
+    const double b1 = c.beta1, b2 = c.beta2, lr = c.lr, eps = c.eps;
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      m.resize(params.size());
+      v.resize(params.size());
+      m[k].resize(params[k].size(), 0.0);
+      v[k].resize(params[k].size(), 0.0);
+      for (std::size_t i = 0; i < params[k].size(); ++i) {
+        const double gi = grads[k][i];
+        m[k][i] = b1 * m[k][i] + (1.0 - b1) * gi;
+        v[k][i] = b2 * v[k][i] + (1.0 - b2) * gi * gi;
+        const double mhat = m[k][i] / bc1;
+        const double vhat = v[k][i] / bc2;
+        params[k][i] -= lr * mhat / (std::sqrt(vhat) + eps);
+      }
+      std::fill(grads[k].begin(), grads[k].end(), 0.0);
+    }
+  }
+};
+
+// Adam's moments, read back through its checkpoint format.
+void read_moments(const Adam& opt, std::vector<std::vector<double>>& m,
+                  std::vector<std::vector<double>>& v) {
+  BinaryWriter w;
+  opt.save(w);
+  BinaryReader r(w.bytes());
+  ASSERT_EQ(r.read_string(), "adam");
+  (void)r.read_i64();
+  (void)r.read_f64();
+  const auto n = r.read_u32();
+  m.resize(n);
+  v.resize(n);
+  for (auto& x : m) x = r.read_f64_vector();
+  for (auto& x : v) x = r.read_f64_vector();
+}
+
 TEST(Adam, ValidatesPairing) {
-  Matrix p(2, 2), g(2, 2);
+  Matrix p(2, 2), g(2, 2), g_wrong(2, 3);
   EXPECT_THROW(Adam({&p}, {}, {}), std::invalid_argument);
+  EXPECT_THROW(Adam({&p}, {&g_wrong}, {}), std::invalid_argument);
 }
 
 TEST(Adam, MinimizesQuadratic) {
@@ -84,6 +148,62 @@ TEST(Adam, SetLrTakesEffect) {
   g(0, 0) = 1.0;
   opt.step();
   EXPECT_NEAR(p(0, 0), -0.001, 1e-5);
+}
+
+// Every tier's Adam kernel reproduces the scalar update bit for bit —
+// lengths below, at and past one vector, the zoo's critic layer 0 (269 x 64)
+// and a length with a one-element vector tail — and zeroes the gradients.
+TEST(Adam, StepIsBitIdenticalAcrossTiers) {
+  struct TierGuard {
+    ~TierGuard() { simd::reset_tier(); }
+  } guard;
+  const std::vector<int> lengths = {1, 2, 3, 4, 5, 17216, 21569};
+  AdamConfig cfg;
+  cfg.lr = 1e-3;
+  cfg.beta1 = 0.85;
+  cfg.grad_clip = 0.0;  // the clip runs before, and outside, the kernel
+  for (const simd::Tier tier : simd::available_tiers()) {
+    simd::force_tier(tier);
+    Rng rng(2024);
+    std::vector<Matrix> p, g;
+    std::vector<std::vector<double>> ref_p;
+    for (const int n : lengths) {
+      p.push_back(Matrix::randn(1, n, rng, 1.0));
+      g.emplace_back(1, n);
+      ref_p.emplace_back(p.back().data(), p.back().data() + n);
+    }
+    std::vector<Matrix*> pp, gp;
+    for (std::size_t k = 0; k < p.size(); ++k) {
+      pp.push_back(&p[k]);
+      gp.push_back(&g[k]);
+    }
+    Adam opt(pp, gp, cfg);
+    ReferenceAdam ref;
+    for (int step = 0; step < 3; ++step) {
+      std::vector<std::vector<double>> ref_g;
+      for (auto& gk : g) {
+        for (std::size_t i = 0; i < gk.size(); ++i) gk.data()[i] = grad_value(rng, i);
+        ref_g.emplace_back(gk.data(), gk.data() + gk.size());
+      }
+      opt.step();
+      ref.step(ref_p, ref_g, cfg);
+      std::vector<std::vector<double>> m, v;
+      read_moments(opt, m, v);
+      ASSERT_EQ(m.size(), lengths.size());
+      for (std::size_t k = 0; k < lengths.size(); ++k) {
+        for (std::size_t i = 0; i < p[k].size(); ++i) {
+          const bool ok = same_bits(p[k].data()[i], ref_p[k][i]) &&
+                          same_bits(m[k][i], ref.m[k][i]) &&
+                          same_bits(v[k][i], ref.v[k][i]) && same_bits(g[k].data()[i], 0.0);
+          ASSERT_TRUE(ok) << simd::tier_name(tier) << " step " << step << " length "
+                          << lengths[k] << " index " << i << ": p " << p[k].data()[i]
+                          << " vs " << ref_p[k][i] << ", m " << m[k][i] << " vs "
+                          << ref.m[k][i] << ", v " << v[k][i] << " vs " << ref.v[k][i]
+                          << ", g " << g[k].data()[i];
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

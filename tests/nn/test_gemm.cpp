@@ -6,8 +6,11 @@
 // accumulate and fused-epilogue forms and bit-exact run-to-run determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfenv>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -62,10 +65,16 @@ void expect_close(const Matrix& got, const Matrix& want, double rel = 1e-12) {
 // (m, n, k) result/inner shapes. Chosen to hit: single element, GEMV row
 // (m = 1), sub-tile m, prime everything, exact 4x8 tiles, ragged edges in
 // both dimensions, k = 0 empty reduction, and m > 128 (two kMc row blocks).
+// The last row holds the shapes of one zoo SAC update (batch 32, 267-dim
+// observation, 2-dim action, 64 x 64 nets), which take every full-panel pack
+// through the variants: 32 x 269 * 269 x 64 (critic layer 0), 269 x 64 with
+// k = 32 (its weight gradient), 32 x 64 * 64 x 64 (hidden layers), and
+// B = 269 x 64 (the critic's W0 in the nt rows test), plus two ragged ones.
 const std::vector<std::tuple<int, int, int>> kShapes = {
-    {1, 1, 1},  {1, 8, 64},  {1, 257, 19}, {2, 5, 3},   {3, 3, 0},
-    {4, 8, 16}, {5, 9, 17},  {7, 3, 2},    {8, 8, 8},   {13, 29, 31},
-    {31, 7, 1}, {64, 64, 64}, {130, 40, 33}, {1, 1, 100},
+    {1, 1, 1},   {1, 8, 64},   {1, 257, 19},  {2, 5, 3},    {3, 3, 0},
+    {4, 8, 16},  {5, 9, 17},   {7, 3, 2},     {8, 8, 8},    {13, 29, 31},
+    {31, 7, 1},  {64, 64, 64}, {130, 40, 33}, {1, 1, 100},  {32, 64, 269},
+    {269, 64, 32}, {32, 64, 64}, {32, 269, 64}, {30, 63, 5}, {7, 9, 13},
 };
 
 TEST(GemmParity, MatmulMatchesReference) {
@@ -103,7 +112,8 @@ TEST(GemmParity, MatmulNtMatchesReference) {
 
 // A row range of B gives exactly the matching columns of the full nt
 // product (same chain per element on every path), for the prefix, suffix,
-// interior, single-row and empty ranges.
+// interior, last-two-rows (the actor step's dQ/da), single-row and empty
+// ranges.
 TEST(GemmParity, MatmulNtRowsMatchesFullProductColumns) {
   Rng rng(1237);
   for (const auto& [m, n, k] : kShapes) {
@@ -112,7 +122,8 @@ TEST(GemmParity, MatmulNtRowsMatchesFullProductColumns) {
     Matrix full;
     matmul_nt_into(full, a, b);
     const std::vector<std::pair<int, int>> ranges = {
-        {0, n}, {0, n / 2}, {n / 2, n}, {n / 3, (2 * n + 2) / 3}, {n - 1, n}, {n, n}};
+        {0, n},     {0, n / 2}, {n / 2, n}, {n / 3, (2 * n + 2) / 3},
+        {std::max(0, n - 2), n}, {n - 1, n}, {n, n}};
     for (const auto& [r0, r1] : ranges) {
       Matrix c;
       matmul_nt_rows_into(c, a, b, r0, r1);
@@ -294,6 +305,37 @@ TEST(GemmDeterminism, AllocatingWrappersMatchIntoVariants) {
   const Matrix at = make_random(17, 11, rng);
   matmul_tn_into(c, at, b);
   expect_same(matmul_tn(at, b), c);
+}
+
+// Ragged edge panels are zero-padded, so the padding lanes the microkernel
+// computes and drops never hold stale pack-buffer data. A GEMM on finite
+// inputs run right after one on infinite inputs (whose values are left in
+// this thread's pack buffers, at the same panel offsets) raises no invalid
+// operation: stale infinities in the padding would meet both signs of the
+// live operands and sum to inf - inf.
+TEST(GemmKernelConfig, RaggedPanelsPadWithZerosNotStaleData) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(4321);
+  for (const auto& [m, n, k] : std::vector<std::tuple<int, int, int>>{
+           {30, 63, 5}, {7, 9, 13}, {32, 2, 64}}) {
+    const int mp = (m + 7) / 8 * 8, np = (n + 7) / 8 * 8;  // whole panels
+    Matrix ia(mp, k), ib(k, np), c;
+    ia.fill(kInf);
+    ib.fill(kInf);
+    const Matrix a = make_random(m, k, rng);
+    const Matrix b = make_random(k, n, rng);
+    const Matrix at = make_random(k, m, rng);
+    const Matrix bt = make_random(n, k, rng);
+    for (int variant = 0; variant < 3; ++variant) {
+      matmul_into(c, ia, ib);  // leaves infinities in both pack buffers
+      std::feclearexcept(FE_ALL_EXCEPT);
+      if (variant == 0) matmul_into(c, a, b);
+      if (variant == 1) matmul_tn_into(c, at, b);
+      if (variant == 2) matmul_nt_into(c, a, bt);
+      EXPECT_FALSE(std::fetestexcept(FE_INVALID))
+          << "variant " << variant << " m=" << m << " n=" << n << " k=" << k;
+    }
+  }
 }
 
 TEST(GemmKernelConfig, LargeKCrossesChunkBoundary) {

@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <vector>
+
 namespace adsec {
 namespace {
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 TEST(Matrix, ZeroInitialized) {
   Matrix m(3, 4);
@@ -140,6 +149,74 @@ TEST(Matrix, InplaceOps) {
   a.set_zero();
   EXPECT_DOUBLE_EQ(a(0, 0), 0.0);
   EXPECT_THROW(a.add_inplace(Matrix(2, 2)), std::invalid_argument);
+}
+
+// The ReLU backward is a select, not a branch: it zeroes exactly the
+// gradients the old `if (h <= 0) g = 0` loop zeroed (-0.0 and +0.0, not
+// NaN) and keeps every other gradient's bits, NaN and -0.0 included. Sizes
+// cover vector bodies and tails.
+TEST(Matrix, ReluBackwardMatchesBranchyLoop) {
+  const std::vector<double> hs = {-0.0, 0.0, kNaN, -1.0, 1.0, 5e-324};
+  const std::vector<double> gs = {0.5, -2.0, -0.0, kNaN, 3e-310, -kInf, 7.0};
+  for (const int cols : {1, 5, 6, 42}) {
+    Matrix h(3, cols), grad(3, cols);
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      h.data()[i] = hs[i % hs.size()];
+      grad.data()[i] = gs[i % gs.size()];
+    }
+    Matrix want = grad;
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      if (h.data()[i] <= 0.0) want.data()[i] = 0.0;
+    }
+    apply_activation_grad(Activation::ReLU, h, grad);
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      EXPECT_TRUE(same_bits(grad.data()[i], want.data()[i]))
+          << "cols " << cols << " h " << h.data()[i] << " got " << grad.data()[i]
+          << " want " << want.data()[i];
+    }
+  }
+}
+
+// blend_inplace is the Polyak blend's two multiplies then one add, never
+// fused (this file is compiled with -ffp-contract=off, like the kernels).
+TEST(Matrix, BlendInplaceIsMultiplyMultiplyAdd) {
+  Rng rng(3);
+  for (const int cols : {1, 3, 64, 67}) {
+    const Matrix a0 = Matrix::randn(4, cols, rng, 1.0);
+    const Matrix b = Matrix::randn(4, cols, rng, 1.0);
+    for (const double tau : {0.005, 0.25, 1.0}) {
+      const double keep = 1.0 - tau;
+      Matrix a = a0;
+      a.blend_inplace(keep, tau, b);
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        const double kp = keep * a0.data()[i];
+        const double to = tau * b.data()[i];
+        EXPECT_TRUE(same_bits(a.data()[i], kp + to)) << "tau " << tau << " i " << i;
+      }
+    }
+  }
+  Matrix a(2, 2);
+  EXPECT_THROW(a.blend_inplace(0.5, 0.5, Matrix(2, 3)), std::invalid_argument);
+}
+
+// all_finite agrees with std::isfinite over every element, wherever the
+// one non-finite value sits (vector body or tail).
+TEST(Matrix, AllFiniteMatchesIsfinite) {
+  EXPECT_TRUE(Matrix().all_finite());
+  const double max = std::numeric_limits<double>::max();
+  const double finite[] = {0.0, -0.0, 1.0, -max, max, 5e-324, -2.5e-310};
+  for (const int cols : {1, 2, 5, 33}) {
+    Matrix m(3, cols);
+    for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = finite[i % 7];
+    EXPECT_TRUE(m.all_finite()) << "cols " << cols;
+    for (const double bad : {kInf, -kInf, kNaN, -kNaN}) {
+      for (const std::size_t at : {std::size_t{0}, m.size() / 2, m.size() - 1}) {
+        Matrix x = m;
+        x.data()[at] = bad;
+        EXPECT_FALSE(x.all_finite()) << "cols " << cols << " " << bad << " at " << at;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -155,6 +155,80 @@ TEST(SimdParity, RowBatchedForwardIsBitIdenticalToPerRowPerTier) {
   }
 }
 
+// The shapes of one zoo SAC update that reach each pack path: critic
+// layer 0 forward (A transposed into panels, W rows copied), its weight
+// gradient (tn: both panels copied), a hidden-layer input gradient (nt: both
+// panels transposed), the actor step's dQ/da (W0 rows 267..268: a ragged
+// transposed panel), and two ragged shapes through every variant. Per tier:
+// against reference:: (exact on scalar, ulp tolerance on the FMA tier),
+// and each row of the batched product bit-identical to that row alone
+// through the GEMV path.
+enum class Variant { Nn, Tn, Nt, NtRows };
+
+struct PackCase {
+  Variant variant;
+  int m, n, k;  // C is m x n (before the nt row range), inner dim k
+};
+
+TEST(SimdParity, ZooPackPathsMatchReferenceAndPerRowPerTier) {
+  TierGuard guard;
+  std::vector<PackCase> cases = {{Variant::Nn, 32, 64, 269},
+                                 {Variant::Tn, 269, 64, 32},
+                                 {Variant::Nt, 32, 64, 64},
+                                 {Variant::NtRows, 32, 269, 64}};
+  for (const Variant v : {Variant::Nn, Variant::Tn, Variant::Nt}) {
+    cases.push_back({v, 30, 63, 5});
+    cases.push_back({v, 7, 9, 13});
+  }
+  for (const simd::Tier t : simd::available_tiers()) {
+    simd::force_tier(t);
+    Rng rng(31);
+    for (const PackCase& pc : cases) {
+      // A is m x k (k x m for tn); B is k x n (n x k for nt).
+      const bool ta = pc.variant == Variant::Tn;
+      const bool tb = pc.variant == Variant::Nt || pc.variant == Variant::NtRows;
+      const Matrix a = ta ? make_random(pc.k, pc.m, rng) : make_random(pc.m, pc.k, rng);
+      const Matrix b = tb ? make_random(pc.n, pc.k, rng) : make_random(pc.k, pc.n, rng);
+      const int r0 = pc.variant == Variant::NtRows ? pc.n - 2 : 0;
+      const auto product = [&](Matrix& c, const Matrix& x) {
+        switch (pc.variant) {
+          case Variant::Nn: return matmul_into(c, x, b);
+          case Variant::Tn: return matmul_tn_into(c, x, b);
+          case Variant::Nt: return matmul_nt_into(c, x, b);
+          case Variant::NtRows: return matmul_nt_rows_into(c, x, b, r0, pc.n);
+        }
+      };
+      const Matrix full = ta ? reference::matmul_tn(a, b)
+                             : tb ? reference::matmul_nt(a, b) : reference::matmul(a, b);
+      Matrix got;
+      product(got, a);
+      ASSERT_EQ(got.rows(), pc.m);
+      ASSERT_EQ(got.cols(), pc.n - r0);
+      for (int i = 0; i < pc.m; ++i) {
+        // Row i alone: A's row i (column i for tn) as a one-row operand.
+        Matrix one = ta ? Matrix(pc.k, 1) : Matrix(1, pc.k);
+        for (int p = 0; p < pc.k; ++p) one.data()[p] = ta ? a(p, i) : a(i, p);
+        Matrix row;
+        product(row, one);
+        for (int j = 0; j < pc.n - r0; ++j) {
+          const double want = full(i, r0 + j);
+          const char* tier = simd::tier_name(t);
+          if (t == simd::Tier::Scalar) {
+            EXPECT_EQ(got(i, j), want) << tier << " m=" << pc.m << " n=" << pc.n
+                                       << " k=" << pc.k << " at (" << i << ", " << j << ")";
+          } else {
+            EXPECT_NEAR(got(i, j), want, 1e-12 * (1.0 + std::abs(want)))
+                << tier << " m=" << pc.m << " n=" << pc.n << " k=" << pc.k << " at (" << i
+                << ", " << j << ")";
+          }
+          EXPECT_EQ(got(i, j), row(0, j)) << tier << " per-row m=" << pc.m << " n=" << pc.n
+                                          << " k=" << pc.k << " at (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdParity, RepeatedRunsAreBitIdenticalPerTier) {
   TierGuard guard;
   for (const simd::Tier t : simd::available_tiers()) {

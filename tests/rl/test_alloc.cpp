@@ -160,6 +160,19 @@ TEST(SteadyStateAllocations, ReplaySampleIntoReusesBatchStorage) {
   EXPECT_EQ(allocs, 0);
 }
 
+// The replay stores reserve their capacity up front, so add() never
+// reallocates: not while the ring fills, not once it wraps.
+TEST(SteadyStateAllocations, ReplayAddIsAllocationFree) {
+  const int capacity = 64, obs_dim = 8, act_dim = 2;
+  ReplayBuffer buffer(capacity, obs_dim, act_dim);
+  const std::vector<double> obs(obs_dim, 0.25), next(obs_dim, -0.5), act(act_dim, 0.1);
+  const long allocs = count_allocs([&] {
+    for (int i = 0; i < 3 * capacity + 5; ++i) buffer.add(obs, act, 1.0, next, i % 7 == 0);
+  });
+  EXPECT_EQ(allocs, 0);
+  EXPECT_EQ(buffer.size(), capacity);
+}
+
 TEST(SteadyStateAllocations, ForwardInferenceIntoIsAllocationFreeAfterWarmup) {
   Rng rng(10);
   const Mlp net({16, 64, 64, 4}, Activation::ReLU, rng);
