@@ -416,30 +416,20 @@ void write_gemm_kernels_table() {
   simd::reset_tier();
 }
 
-// SIMD-vs-scalar ratio table: the same kernel shapes timed under both
-// dispatch tiers in one process via force_tier. Only written when the host
-// can execute the AVX2 tier — bench_compare.py skips its gates when the
-// recorded simd_tier differs from the baseline's, so a scalar-only host
-// neither fakes nor fails this table. Acceptance floor: >= 1.8x on
-// gemm_256. The adam_64k row times one optimizer step, which gives the
-// same bits on both tiers.
-void write_simd_kernels_table() {
-  const std::vector<simd::Tier> tiers = simd::available_tiers();
-  if (std::find(tiers.begin(), tiers.end(), simd::Tier::Avx2) == tiers.end()) {
-    std::printf(
-        "simd kernels: AVX2 tier unavailable on this host — "
-        "simd_kernels table skipped\n");
-    return;
-  }
-
+// Tier-vs-tier ratio table: the same kernel shapes timed under two dispatch
+// tiers in one process via force_tier. The adam_64k row times one
+// optimizer step, which gives the same bits on every tier; the optional
+// sac_update row times one zoo-shaped Sac::update (obs 267, act 2, batch
+// 32, 64 x 64 nets).
+void write_tier_table(const char* name, simd::Tier slow, simd::Tier fast, bool sac_row) {
   Rng rng(26);
-  Table t({"op", "scalar_ns", "avx2_ns", "speedup"});
-  auto row = [&t](const char* op, double scalar_ns, double avx2_ns) {
-    t.add_row({op, fmt(scalar_ns, 0), fmt(avx2_ns, 0),
-               fmt(scalar_ns / avx2_ns, 2)});
-    std::printf("simd kernels: %-14s scalar %10.0f ns  avx2 %10.0f ns  "
-                "speedup %5.2fx\n",
-                op, scalar_ns, avx2_ns, scalar_ns / avx2_ns);
+  const std::string slow_name = simd::tier_name(slow);
+  const std::string fast_name = simd::tier_name(fast);
+  Table t({"op", slow_name + "_ns", fast_name + "_ns", "speedup"});
+  auto row = [&](const char* op, double slow_ns, double fast_ns) {
+    t.add_row({op, fmt(slow_ns, 0), fmt(fast_ns, 0), fmt(slow_ns / fast_ns, 2)});
+    std::printf("%s: %-14s %s %10.0f ns  %s %10.0f ns  speedup %5.2fx\n", name, op,
+                slow_name.c_str(), slow_ns, fast_name.c_str(), fast_ns, slow_ns / fast_ns);
   };
   auto timed = [](simd::Tier tier, const std::function<void()>& op, int iters) {
     simd::force_tier(tier);
@@ -447,15 +437,15 @@ void write_simd_kernels_table() {
     simd::reset_tier();
     return ns;
   };
+  auto both = [&](const char* op, const std::function<void()>& f, int iters) {
+    row(op, timed(slow, f, iters), timed(fast, f, iters));
+  };
 
   for (const int n : {64, 256}) {
     const Matrix a = Matrix::randn(n, n, rng, 1.0);
     const Matrix b = Matrix::randn(n, n, rng, 1.0);
     Matrix c;
-    const int iters = n == 64 ? 256 : 16;
-    const auto op = [&] { matmul_into(c, a, b); };
-    row(n == 64 ? "gemm_64" : "gemm_256", timed(simd::Tier::Scalar, op, iters),
-        timed(simd::Tier::Avx2, op, iters));
+    both(n == 64 ? "gemm_64" : "gemm_256", [&] { matmul_into(c, a, b); }, n == 64 ? 256 : 16);
   }
 
   {
@@ -463,9 +453,7 @@ void write_simd_kernels_table() {
     const Matrix w = Matrix::randn(256, 256, rng, 0.1);
     const Matrix bias = Matrix::randn(1, 256, rng, 0.1);
     Matrix y;
-    const auto op = [&] { linear_forward_into(y, x, w, bias, Activation::ReLU); };
-    row("gemv_1x256", timed(simd::Tier::Scalar, op, 2048),
-        timed(simd::Tier::Avx2, op, 2048));
+    both("gemv_1x256", [&] { linear_forward_into(y, x, w, bias, Activation::ReLU); }, 2048);
   }
 
   {
@@ -491,14 +479,59 @@ void write_simd_kernels_table() {
       fill.push_back(Matrix::randn(g->rows(), g->cols(), rng, 0.01));
     }
     Adam opt(params, grads);
-    const auto op = [&] {
-      for (std::size_t k = 0; k < grads.size(); ++k) grads[k]->copy_from(fill[k]);
-      opt.step();
-    };
-    row("adam_64k", timed(simd::Tier::Scalar, op, 64), timed(simd::Tier::Avx2, op, 64));
+    both(
+        "adam_64k",
+        [&] {
+          for (std::size_t k = 0; k < grads.size(); ++k) grads[k]->copy_from(fill[k]);
+          opt.step();
+        },
+        64);
   }
 
-  bench::maybe_write_csv(t, "simd_kernels");
+  if (sac_row) {
+    SacConfig cfg;
+    cfg.batch_size = 32;
+    Sac sac(267, 2, cfg, rng);
+    ReplayBuffer buf(512, 267, 2);
+    std::vector<double> obs(267), next(267);
+    for (int i = 0; i < 256; ++i) {
+      for (std::size_t j = 0; j < obs.size(); ++j) {
+        obs[j] = rng.uniform(-1.0, 1.0);
+        next[j] = rng.uniform(-1.0, 1.0);
+      }
+      const double act[2] = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+      buf.add(obs, act, rng.uniform(), next, false);
+    }
+    both("sac_update", [&] { sac.update(buf, rng); }, 64);
+  }
+
+  bench::maybe_write_csv(t, name);
+}
+
+// AVX2-vs-scalar ratios. Only written when the host can execute the AVX2
+// tier — bench_compare.py skips its gates when the recorded simd_tier
+// differs from the baseline's, so a scalar-only host neither fakes nor
+// fails this table. Acceptance floor: >= 1.8x on gemm_256.
+void write_simd_kernels_table() {
+  if (!simd::tier_supported(simd::Tier::Avx2)) {
+    std::printf(
+        "simd kernels: AVX2 tier unavailable on this host — "
+        "simd_kernels table skipped\n");
+    return;
+  }
+  write_tier_table("simd_kernels", simd::Tier::Scalar, simd::Tier::Avx2, false);
+}
+
+// AVX-512-vs-AVX2 ratios, only where both tiers run. Reported, not gated:
+// the committed baseline has no such table, so bench_compare.py ignores it.
+void write_simd512_kernels_table() {
+  if (!simd::tier_supported(simd::Tier::Avx2) || !simd::tier_supported(simd::Tier::Avx512)) {
+    std::printf(
+        "simd512 kernels: AVX-512 or AVX2 tier unavailable on this host — "
+        "simd512_kernels table skipped\n");
+    return;
+  }
+  write_tier_table("simd512_kernels", simd::Tier::Avx2, simd::Tier::Avx512, true);
 }
 
 // Kernel telemetry for one representative gradient step: gemm/gemv call and
@@ -592,6 +625,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   adsec::write_gemm_kernels_table();
   adsec::write_simd_kernels_table();
+  adsec::write_simd512_kernels_table();
   adsec::write_nn_counter_table();
   adsec::write_overhead_table();
   return 0;

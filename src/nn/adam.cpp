@@ -27,16 +27,23 @@ Adam::Adam(std::vector<Matrix*> params, std::vector<Matrix*> grads,
   }
 }
 
-void Adam::step() {
+double Adam::step(double carry) {
   ++t_;
 
-  if (config_.grad_clip > 0.0) {
-    double norm2 = 0.0;
-    for (const auto* g : grads_) {
-      const double* __restrict gd = g->data();
-      const std::size_t n = g->size();
-      for (std::size_t i = 0; i < n; ++i) norm2 += gd[i] * gd[i];
+  // One pass feeds two chains: the clip's from 0 and the caller's from
+  // `carry`. They are independent, so the second adds no latency.
+  double norm2 = 0.0;
+  double chained = carry;
+  for (const auto* g : grads_) {
+    const double* __restrict gd = g->data();
+    const std::size_t n = g->size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const double sq = gd[i] * gd[i];
+      norm2 += sq;
+      chained += sq;
     }
+  }
+  if (config_.grad_clip > 0.0) {
     const double norm = std::sqrt(norm2);
     if (norm > config_.grad_clip) {
       const double s = config_.grad_clip / norm;
@@ -58,6 +65,7 @@ void Adam::step() {
     kt.adam(params_[k]->data(), grads_[k]->data(), m_[k].data(), v_[k].data(),
             params_[k]->size(), s);
   }
+  return chained;
 }
 
 void Adam::save(BinaryWriter& w) const {

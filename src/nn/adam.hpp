@@ -24,7 +24,11 @@ class Adam {
        const AdamConfig& config = {});
 
   // Apply one update from the accumulated gradients, then zero them.
-  void step();
+  // Returns `carry` plus the gradients' pre-clip sum of squares, accumulated
+  // in parameter order onto `carry`. Chaining steps, as in
+  // `std::sqrt(b.step(a.step()))`, gives the global norm over both
+  // optimizers' gradients with the bits of one serial loop over them.
+  double step(double carry = 0.0);
 
   void set_lr(double lr) { config_.lr = lr; }
   double lr() const { return config_.lr; }

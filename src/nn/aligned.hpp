@@ -1,12 +1,13 @@
-// 32-byte-aligned storage for Matrix and the GEMM pack buffers.
+// 64-byte-aligned storage for Matrix and the GEMM pack buffers.
 //
-// The AVX2 kernel tier loads packed panels with 256-bit vector loads; an
-// aligned base keeps every packed panel (laid out contiguously from the
-// buffer start) on a vector boundary, and lets sanitizer builds verify the
-// alignment contract instead of relying on glibc's incidental 16-byte
-// malloc alignment. Alignment is a property of the allocation, not the
-// kernels' correctness: the kernels use unaligned loads for destination
-// rows, whose offset depends on the (arbitrary) leading dimension.
+// The vector kernel tiers load packed panels with 256-bit (AVX2) or 512-bit
+// (AVX-512) vector loads; a cache-line-aligned base keeps every packed
+// panel (laid out contiguously from the buffer start) on a zmm boundary,
+// and lets sanitizer builds verify the alignment contract instead of
+// relying on glibc's incidental 16-byte malloc alignment. Alignment is a
+// property of the allocation, not the kernels' correctness: the kernels
+// use unaligned loads for C rows and in-place B rows, whose offsets depend
+// on the (arbitrary) leading dimension.
 #pragma once
 
 #include <cstddef>
@@ -44,9 +45,8 @@ struct AlignedAllocator {
   }
 };
 
-// Matrix storage alignment: one AVX (and half an AVX-512) cache-line-
-// friendly boundary.
-inline constexpr std::size_t kMatrixAlign = 32;
+// Matrix storage alignment: one cache line, one AVX-512 vector.
+inline constexpr std::size_t kMatrixAlign = 64;
 
 using AlignedVector = std::vector<double, AlignedAllocator<double, kMatrixAlign>>;
 

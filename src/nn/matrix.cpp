@@ -143,9 +143,9 @@ namespace {
 // the compiler keeps in vector registers (auto-vectorized at -O3 without
 // reassociating any reduction). 4x8 needs 32 accumulator doubles — 4 AVX
 // registers per row; the SSE2 baseline gets a 4x4 tile so the accumulators
-// still fit the 16 xmm registers. The AVX2 tier (matrix_avx2.cpp) brings
-// its own 4x8 FMA tile; the driver below reads whichever table the runtime
-// dispatcher selected.
+// still fit the 16 xmm registers. The vector tiers (matrix_avx2.cpp,
+// matrix_avx512.cpp) bring their own FMA tiles; the driver below reads
+// whichever table the runtime dispatcher selected.
 #if defined(__AVX__)
 constexpr int kMr = 4;
 constexpr int kNr = 8;
@@ -155,6 +155,11 @@ constexpr int kNr = 4;
 #endif
 static_assert(kMr <= detail::kMaxMr && kNr <= detail::kMaxNr,
               "driver stack tiles size to the max over all tiers");
+// Below this many rows of C a product takes the GEMV path. A constant, not
+// a tier's mr: an accumulating product on the GEMV path continues C's chain
+// instead of adding a fresh chain to C, so the cut must fall at the same m
+// on every tier for the tiers to agree bit for bit.
+constexpr int kGemvMaxRows = 4;
 // Rows of C processed per packed-A block (A block = kMc x kc doubles, well
 // inside L2 alongside the B panel being streamed).
 constexpr int kMc = 128;
@@ -182,22 +187,27 @@ inline double act_scalar(Activation act, double v) {
   return v;
 }
 
-// kc steps of rank-1 updates into a kMr x kNr accumulator tile, which it
-// overwrites. Panels are packed contiguously (A as [p][kMr], B as [p][kNr])
-// and zero-padded at the edges, so this kernel has no bounds logic. Chains
-// start from +0.0 and run in ascending p, identical to the reference
+// kc steps of rank-1 updates into a kMr x kNr tile of C (contract in
+// kernel_table.hpp). A is packed as [p][kMr]; B row p starts at bp + p * ldb.
+// Chains start from +0.0 and run in ascending p, identical to the reference
 // kernels.
 void micro_kernel(int kc, const double* __restrict ap, const double* __restrict bp,
-                  double* __restrict acc) {
-  for (int i = 0; i < kMr * kNr; ++i) acc[i] = 0.0;
+                  std::ptrdiff_t ldb, double* __restrict c, std::ptrdiff_t ldc,
+                  bool add) {
+  double acc[kMr * kNr] = {};
   for (int p = 0; p < kc; ++p) {
     const double* __restrict av = ap + static_cast<std::size_t>(p) * kMr;
-    const double* __restrict bv = bp + static_cast<std::size_t>(p) * kNr;
+    const double* __restrict bv = bp + p * ldb;
     for (int r = 0; r < kMr; ++r) {
       const double a = av[r];
       double* __restrict accr = acc + static_cast<std::size_t>(r) * kNr;
-      for (int c = 0; c < kNr; ++c) accr[c] += a * bv[c];
+      for (int j = 0; j < kNr; ++j) accr[j] += a * bv[j];
     }
+  }
+  for (int r = 0; r < kMr; ++r) {
+    double* __restrict crow = c + r * ldc;
+    const double* __restrict accr = acc + static_cast<std::size_t>(r) * kNr;
+    for (int j = 0; j < kNr; ++j) crow[j] = add ? crow[j] + accr[j] : accr[j];
   }
 }
 
@@ -269,9 +279,8 @@ void adam_scalar(double* __restrict p, double* __restrict g, double* __restrict 
 
 // Pack buffers grow once and are reused for every subsequent call on the
 // thread, so steady-state GEMM performs no heap allocation. thread_local
-// keeps parallel-eval workers race-free without locks; the 32-byte-aligned
-// base makes every packed panel a valid target for the AVX2 tier's aligned
-// vector loads.
+// keeps parallel-eval workers race-free without locks; the 64-byte-aligned
+// base puts every packed panel on a cache line and a zmm boundary.
 thread_local AlignedVector tl_pack_a;
 thread_local AlignedVector tl_pack_b;
 
@@ -334,7 +343,7 @@ void gemm(double* cdata, int m, int n, int k, AView A, BView B, bool accumulate,
   // GEMV fast paths for the 1 x N shapes that dominate rollout stepping: no
   // packing, B streamed once. Both accumulate in ascending k, so they agree
   // bit-for-bit with the blocked path within the active tier.
-  if (m < kt.mr) {
+  if (m < kGemvMaxRows) {
     gemv_calls.inc();
     if (B.sj == 1) {
       // B rows contiguous: saxpy over rows of B.
@@ -365,13 +374,21 @@ void gemm(double* cdata, int m, int n, int k, AView A, BView B, bool accumulate,
     }
   }
 
-  // Blocked path: pack B once per k-chunk (reused by every row block), pack
-  // A per kMc-row block, then sweep the microkernel over the tile grid.
+  // Blocked path: per k-chunk, pack the B panels that cannot be read in
+  // place (once, reused by every row block), pack A per kMc-row block, then
+  // sweep the microkernel over the tile grid. A full B panel whose rows are
+  // contiguous (B.sj == 1) is read in place at stride B.sp; ragged panels
+  // and the transposed (nt) panels are packed at stride nr. Full tiles are
+  // stored straight into C; ragged ones go through a stack tile.
   const int t_mr = kt.mr;
   const int t_nr = kt.nr;
   const int n_panels = (n + t_nr - 1) / t_nr;
   const int kc_max = std::min(k, kKernelKc);
-  ensure_capacity(tl_pack_b, static_cast<std::size_t>(n_panels) * t_nr * kc_max);
+  // Panels before this one are read in place: every full panel when
+  // B.sj == 1, so only a ragged last panel is packed; none in nt products.
+  const int first_packed = B.sj == 1 ? n / t_nr : 0;
+  ensure_capacity(tl_pack_b,
+                  static_cast<std::size_t>(n_panels - first_packed) * t_nr * kc_max);
   ensure_capacity(tl_pack_a,
                   static_cast<std::size_t>((kMc + t_mr - 1) / t_mr) * t_mr * kc_max);
   double* const bbuf = tl_pack_b.data();
@@ -379,13 +396,14 @@ void gemm(double* cdata, int m, int n, int k, AView A, BView B, bool accumulate,
 
   for (int p0 = 0; p0 < k; p0 += kKernelKc) {
     const int kc = std::min(kKernelKc, k - p0);
-    const bool first = p0 == 0;
-    const bool last = p0 + kc == k;
+    const bool add = accumulate || p0 > 0;
+    const bool fuse = p0 + kc == k && epi.any();
 
-    // B panels: panel-major [panel][p][nr], ragged last panel zero-padded.
-    for (int panel = 0; panel < n_panels; ++panel) {
+    // Packed B panels: panel-major [panel - first_packed][p][nr], ragged
+    // last panel zero-padded.
+    for (int panel = first_packed; panel < n_panels; ++panel) {
       const int j0 = panel * t_nr;
-      pack_panel(kt, bbuf + static_cast<std::size_t>(panel) * kc * t_nr,
+      pack_panel(kt, bbuf + static_cast<std::size_t>(panel - first_packed) * kc * t_nr,
                  B.p + p0 * B.sp + j0 * B.sj, B.sj, B.sp, kc, t_nr,
                  std::min(t_nr, n - j0));
     }
@@ -407,20 +425,27 @@ void gemm(double* cdata, int m, int n, int k, AView A, BView B, bool accumulate,
         for (int panel = 0; panel < n_panels; ++panel) {
           const int j0 = panel * t_nr;
           const int nr = std::min(t_nr, n - j0);
-          alignas(32) double acc[detail::kMaxMr * detail::kMaxNr];
-          kt.micro(kc, ap, bbuf + static_cast<std::size_t>(panel) * kc * t_nr, acc);
-
-          const bool add = accumulate || !first;
-          const bool fuse = last && epi.any();
-          for (int r = 0; r < mr; ++r) {
-            double* __restrict crow = cdata + static_cast<std::size_t>(i1 + r) * n + j0;
-            const double* __restrict accr = acc + static_cast<std::size_t>(r) * t_nr;
-            for (int c = 0; c < nr; ++c) {
-              crow[c] = add ? crow[c] + accr[c] : accr[c];
+          const bool direct = panel < first_packed;
+          const double* bp =
+              direct ? B.p + p0 * B.sp + j0
+                     : bbuf + static_cast<std::size_t>(panel - first_packed) * kc * t_nr;
+          const std::ptrdiff_t ldb = direct ? B.sp : t_nr;
+          double* const ctile = cdata + static_cast<std::size_t>(i1) * n + j0;
+          if (mr == t_mr && nr == t_nr) {
+            kt.micro(kc, ap, bp, ldb, ctile, n, add);
+          } else {
+            alignas(64) double tile[detail::kMaxMr * detail::kMaxNr];
+            kt.micro(kc, ap, bp, ldb, tile, t_nr, false);
+            for (int r = 0; r < mr; ++r) {
+              double* __restrict crow = ctile + static_cast<std::size_t>(r) * n;
+              const double* __restrict trow = tile + static_cast<std::size_t>(r) * t_nr;
+              for (int c = 0; c < nr; ++c) crow[c] = add ? crow[c] + trow[c] : trow[c];
             }
-            if (fuse) {
-              kt.epilogue(crow, epi.bias != nullptr ? epi.bias + j0 : nullptr,
-                          epi.act, nr);
+          }
+          if (fuse) {
+            for (int r = 0; r < mr; ++r) {
+              kt.epilogue(ctile + static_cast<std::size_t>(r) * n,
+                          epi.bias != nullptr ? epi.bias + j0 : nullptr, epi.act, nr);
             }
           }
         }

@@ -14,7 +14,7 @@
 // blocked kernels, so legacy call sites get the fast path too.
 //
 // The hot-path kernels are runtime-dispatched over SIMD tiers (scalar
-// fallback or AVX2/FMA; see nn/simd.hpp). Summation order is ascending-k
+// fallback, AVX2/FMA or AVX-512F/FMA; see nn/simd.hpp). Summation order is ascending-k
 // everywhere (microkernel, GEMV path, and reference), with one chain per
 // C element, so for k <= kKernelKc the blocked kernels are bit-identical
 // to each other and to a row-batched forward WITHIN a tier; the scalar
@@ -89,7 +89,7 @@ class Matrix {
   }
   int rows_{0};
   int cols_{0};
-  // 32-byte-aligned base regardless of shape, so the SIMD tiers can assume
+  // 64-byte-aligned base regardless of shape, so the SIMD tiers can assume
   // vector-aligned packed panels and sanitizers can check the contract.
   AlignedVector data_;
 };

@@ -1,20 +1,23 @@
-// AVX2/FMA kernel tier. The ONLY translation unit in the tree allowed to
-// touch <immintrin.h> (machine-checked by the adsec_lint intrinsics-
-// isolation rule): it is compiled with -mavx2 -mfma while the rest of the
-// build keeps the portable baseline ISA, and the dispatcher in simd.cpp
-// only selects this table after a runtime CPUID probe.
+// AVX2/FMA kernel tier. One of the two translation units in the tree
+// allowed to touch <immintrin.h> (with matrix_avx512.cpp; machine-checked
+// by the adsec_lint intrinsics-isolation rule): it is compiled with -mavx2
+// -mfma while the rest of the build keeps the portable baseline ISA, and
+// the dispatcher in simd.cpp only selects this table after a runtime CPUID
+// probe. It is the vector tier of hosts without AVX-512F, and the AVX-512
+// tier calls this TU's gemv_dot, epilogue and Adam entries.
 //
 // Determinism within the tier (see kernel_table.hpp): every GEMM/GEMV
 // multiply-add — vector lanes in the microkernel and GEMV bodies, and the
 // ragged scalar tails via std::fma (a single vfmadd instruction in this
-// -mfma TU) — is fused, ascending k, one chain per C element. So the
-// m < mr GEMV path, a 1 x k row through the blocked path, and the same row
-// inside a batched B x k forward all produce bit-identical doubles while
-// this tier is active. Those fusions are all explicit: the TU is compiled
-// with -ffp-contract=off, so the compiler never fuses a separate multiply
-// and add (the packs, the epilogue and the Adam step stay bit-identical to
-// the scalar tier). The fallback stub below keeps non-x86 / old-toolchain
-// builds linking without any CMake feature defines.
+// -mfma TU) — is fused, ascending k, one chain per C element. So the GEMV
+// path, a 1 x k row through the blocked path, and the same row inside a
+// batched B x k forward all produce bit-identical doubles while this tier
+// is active, and the AVX-512 tier reproduces them. Those fusions are all
+// explicit: the TU is compiled with -ffp-contract=off, so the compiler
+// never fuses a separate multiply and add (the packs, the epilogue and the
+// Adam step stay bit-identical to the scalar tier). The fallback stub
+// below keeps non-x86 / old-toolchain builds linking without any CMake
+// feature defines.
 #include "nn/kernel_table.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -30,21 +33,21 @@ constexpr int kMr = 4;
 constexpr int kNr = 8;
 
 // 4 x 8 register tile: 8 ymm accumulators + 2 B vectors + 1 broadcast stay
-// inside the 16 architectural ymm registers. Panels are packed contiguously
-// from a 32-byte-aligned buffer base (A as [p][4], B as [p][8]), so the
-// panel loads are aligned by construction; `acc` is the driver's
-// alignas(32) stack tile, overwritten. The accumulators start as +0.0 in
-// registers.
+// inside the 16 architectural ymm registers. A is a packed [p][4] panel; B
+// row p is at bp + p * ldb (a packed panel or the operand in place), so B
+// loads are unaligned. The accumulators start as +0.0 in registers and are
+// stored (or added) straight into C at leading dimension ldc.
 void micro_kernel_avx2(int kc, const double* __restrict ap,
-                       const double* __restrict bp, double* __restrict acc) {
+                       const double* __restrict bp, std::ptrdiff_t ldb,
+                       double* __restrict c, std::ptrdiff_t ldc, bool add) {
   __m256d c00 = _mm256_setzero_pd();
   __m256d c01 = c00, c10 = c00, c11 = c00, c20 = c00, c21 = c00, c30 = c00,
           c31 = c00;
   for (int p = 0; p < kc; ++p) {
     const double* __restrict av = ap + static_cast<std::size_t>(p) * kMr;
-    const double* __restrict bv = bp + static_cast<std::size_t>(p) * kNr;
-    const __m256d b0 = _mm256_load_pd(bv);
-    const __m256d b1 = _mm256_load_pd(bv + 4);
+    const double* __restrict bv = bp + p * ldb;
+    const __m256d b0 = _mm256_loadu_pd(bv);
+    const __m256d b1 = _mm256_loadu_pd(bv + 4);
     __m256d a = _mm256_broadcast_sd(av + 0);
     c00 = _mm256_fmadd_pd(a, b0, c00);
     c01 = _mm256_fmadd_pd(a, b1, c01);
@@ -58,14 +61,18 @@ void micro_kernel_avx2(int kc, const double* __restrict ap,
     c30 = _mm256_fmadd_pd(a, b0, c30);
     c31 = _mm256_fmadd_pd(a, b1, c31);
   }
-  _mm256_store_pd(acc + 0, c00);
-  _mm256_store_pd(acc + 4, c01);
-  _mm256_store_pd(acc + 8, c10);
-  _mm256_store_pd(acc + 12, c11);
-  _mm256_store_pd(acc + 16, c20);
-  _mm256_store_pd(acc + 20, c21);
-  _mm256_store_pd(acc + 24, c30);
-  _mm256_store_pd(acc + 28, c31);
+  const auto store = [c, ldc, add](int r, int j, __m256d v) {
+    double* dst = c + r * ldc + j;
+    _mm256_storeu_pd(dst, add ? _mm256_add_pd(_mm256_loadu_pd(dst), v) : v);
+  };
+  store(0, 0, c00);
+  store(0, 4, c01);
+  store(1, 0, c10);
+  store(1, 4, c11);
+  store(2, 0, c20);
+  store(2, 4, c21);
+  store(3, 0, c30);
+  store(3, 4, c31);
 }
 
 // Full-panel packs (layout in kernel_table.hpp). dst is 32-byte aligned:

@@ -1,7 +1,9 @@
 #include "nn/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 
 #include "common/annotations.hpp"
@@ -19,21 +21,43 @@ std::atomic<const detail::KernelTable*> g_table{nullptr};
 // atomic above, not a guarded field. adsec-lint: allow(unguarded-mutex)
 Mutex g_resolve_mu;
 
+constexpr simd::Tier kTiers[] = {simd::Tier::Scalar, simd::Tier::Avx2,
+                                  simd::Tier::Avx512};
+
+// nullptr for a vector tier whose TU compiled to a stub.
 const detail::KernelTable* table_for(simd::Tier tier) {
-  return tier == simd::Tier::Avx2 ? detail::avx2_kernel_table()
-                                  : &detail::scalar_kernel_table();
+  switch (tier) {
+    case simd::Tier::Avx2:
+      return detail::avx2_kernel_table();
+    case simd::Tier::Avx512:
+      return detail::avx512_kernel_table();
+    case simd::Tier::Scalar:
+      break;
+  }
+  return &detail::scalar_kernel_table();
 }
 
 simd::Tier tier_of(const detail::KernelTable* t) {
-  return t == detail::avx2_kernel_table() && t != nullptr ? simd::Tier::Avx2
-                                                          : simd::Tier::Scalar;
+  for (const simd::Tier tier : kTiers) {
+    if (table_for(tier) == t) return tier;
+  }
+  return simd::Tier::Scalar;
 }
 
-bool cpu_has_avx2_fma() {
+bool cpu_has(simd::Tier tier) {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  switch (tier) {
+    case simd::Tier::Avx2:
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+    case simd::Tier::Avx512:
+      // Its table reuses AVX2 entries (every AVX-512F CPU has AVX2).
+      return cpu_has(simd::Tier::Avx2) && __builtin_cpu_supports("avx512f");
+    case simd::Tier::Scalar:
+      break;
+  }
+  return true;
 #else
-  return false;
+  return tier == simd::Tier::Scalar;
 #endif
 }
 
@@ -47,25 +71,22 @@ void publish(const detail::KernelTable* t) {
 const detail::KernelTable* resolve_locked() ADSEC_REQUIRES(g_resolve_mu) {
   const detail::KernelTable* t = g_table.load(std::memory_order_acquire);
   if (t != nullptr) return t;
-  simd::Tier tier = simd::Tier::Scalar;
+  simd::Tier tier = simd::available_tiers().back();
   const char* env = std::getenv("ADSEC_SIMD");
   if (env != nullptr && *env != '\0') {
     const std::string v(env);
-    if (v == "scalar") {
-      tier = simd::Tier::Scalar;
-    } else if (v == "avx2") {
-      tier = simd::Tier::Avx2;
-    } else {
+    const auto named = std::find_if(std::begin(kTiers), std::end(kTiers),
+                                     [&v](simd::Tier x) { return v == simd::tier_name(x); });
+    if (named == std::end(kTiers)) {
       throw Error(ErrorCode::Config,
-                  "ADSEC_SIMD: unknown tier '" + v + "' (want scalar|avx2)");
+                  "ADSEC_SIMD: unknown tier '" + v + "' (want scalar|avx2|avx512)");
     }
+    tier = *named;
     if (!simd::tier_supported(tier)) {
       throw Error(ErrorCode::Config, "ADSEC_SIMD=" + v +
                                          ": tier not supported on this "
                                          "machine/build");
     }
-  } else if (simd::tier_supported(simd::Tier::Avx2)) {
-    tier = simd::Tier::Avx2;
   }
   t = table_for(tier);
   publish(t);
@@ -88,17 +109,26 @@ const KernelTable& active_kernel_table() {
 namespace simd {
 
 const char* tier_name(Tier tier) {
-  return tier == Tier::Avx2 ? "avx2" : "scalar";
+  switch (tier) {
+    case Tier::Avx2:
+      return "avx2";
+    case Tier::Avx512:
+      return "avx512";
+    case Tier::Scalar:
+      break;
+  }
+  return "scalar";
 }
 
 bool tier_supported(Tier tier) {
-  if (tier == Tier::Scalar) return true;
-  return detail::avx2_kernel_table() != nullptr && cpu_has_avx2_fma();
+  return table_for(tier) != nullptr && cpu_has(tier);
 }
 
 std::vector<Tier> available_tiers() {
-  std::vector<Tier> tiers{Tier::Scalar};
-  if (tier_supported(Tier::Avx2)) tiers.push_back(Tier::Avx2);
+  std::vector<Tier> tiers;
+  for (const Tier t : kTiers) {
+    if (tier_supported(t)) tiers.push_back(t);
+  }
   return tiers;
 }
 

@@ -5,17 +5,21 @@
 // epilogue, Adam step). Which table is active is decided ONCE per process,
 // lazily on the first kernel call:
 //
-//   1. `ADSEC_SIMD=scalar|avx2` forces a tier (Error{Config} if the value
-//      is unknown or the CPU lacks the instructions);
-//   2. otherwise the best tier the CPU supports wins (CPUID probe).
+//   1. `ADSEC_SIMD=scalar|avx2|avx512` forces a tier (Error{Config} if the
+//      value is unknown or the CPU lacks the instructions);
+//   2. otherwise the best tier the CPU supports wins (CPUID probe:
+//      avx512f+avx2+fma, then avx2+fma, then scalar).
 //
 // Determinism contract: results are bit-identical across runs FOR A GIVEN
-// TIER. GEMM/GEMV results may differ between tiers in the last ulp (the
-// AVX2 microkernel and GEMV loops use explicit FMA), which is why the
-// active tier is recorded in telemetry (`nn.simd.tier` gauge) and in every
-// BENCH JSON, and why the simd-parity CI job runs the suite under both
-// tiers. The panel packs and the Adam step give the same bits on every
-// tier (see nn/kernel_table.hpp).
+// TIER. The AVX2 and AVX-512 tiers give the same bits as each other: both
+// compute one fused multiply-add chain per C element, ascending k from
+// +0.0, and the register tile's width never enters an element's
+// arithmetic. The scalar tier multiplies then adds, so its GEMM/GEMV
+// results may differ from the fused tiers' in the last ulp; that is why
+// the active tier is recorded in telemetry (`nn.simd.tier` gauge: 0
+// scalar, 1 avx2, 2 avx512) and in every BENCH JSON, and why the
+// simd-parity CI job runs the suite under each tier. The panel packs and
+// the Adam step give the same bits on every tier (see nn/kernel_table.hpp).
 // `force_tier`/`reset_tier` exist for tests and benches that compare tiers
 // in-process; production code never calls them.
 #pragma once
@@ -25,17 +29,18 @@
 
 namespace adsec::simd {
 
-enum class Tier { Scalar = 0, Avx2 = 1 };
+enum class Tier { Scalar = 0, Avx2 = 1, Avx512 = 2 };
 
-// Stable lowercase name, matching the ADSEC_SIMD spelling ("scalar", "avx2").
+// Stable lowercase name, matching the ADSEC_SIMD spelling ("scalar",
+// "avx2", "avx512").
 const char* tier_name(Tier tier);
 
 // Whether this process can execute the tier: the CPU has the instructions
-// AND the binary contains the kernels (the AVX2 TU compiles to a stub when
-// the toolchain lacks -mavx2). Scalar is always supported.
+// AND the binary contains the kernels (a vector tier's TU compiles to a
+// stub when the toolchain lacks its ISA flags). Scalar is always supported.
 bool tier_supported(Tier tier);
 
-// Every supported tier, scalar first.
+// Every supported tier, scalar first, then in order of width.
 std::vector<Tier> available_tiers();
 
 // The tier the kernels are using. First call resolves ADSEC_SIMD / CPUID

@@ -28,18 +28,6 @@ void copy_params(std::vector<Matrix*> dst, std::vector<Matrix*> src,
   }
 }
 
-// Global L2 norm over a gradient list (telemetry diagnostic, taken right
-// before the optimizer consumes the gradients).
-double grad_l2_norm(const std::vector<Matrix*>& grads) {
-  double sq = 0.0;
-  for (const Matrix* g : grads) {
-    const double* __restrict d = g->data();
-    const std::size_t n = g->size();
-    for (std::size_t i = 0; i < n; ++i) sq += d[i] * d[i];
-  }
-  return std::sqrt(sq);
-}
-
 bool params_finite(const std::vector<Matrix*>& params) {
   return std::all_of(params.begin(), params.end(),
                      [](const Matrix* m) { return m->all_finite(); });
@@ -79,11 +67,6 @@ void Sac::init(int obs_dim, int act_dim, Rng& rng) {
   log_alpha_ = std::log(std::max(1e-8, config_.init_alpha));
   target_entropy_ = config_.target_entropy != 0.0 ? config_.target_entropy
                                                   : -static_cast<double>(act_dim);
-
-  critic_grads_ = q1_.grads();
-  const auto g2 = q2_.grads();
-  critic_grads_.insert(critic_grads_.end(), g2.begin(), g2.end());
-  actor_grads_ = actor_.grads();
 }
 
 std::vector<double> Sac::act(std::span<const double> obs, Rng& rng,
@@ -133,9 +116,8 @@ void Sac::update(const ReplayBuffer& buffer, Rng& rng) {
     q->backward(s.grad);
   }
   last_critic_loss_ = closs;
-  last_critic_grad_norm_ = grad_l2_norm(critic_grads_);
-  q1_opt_->step();
-  q2_opt_->step();
+  // Pre-clip global norm over both critics' gradients, q1's then q2's.
+  last_critic_grad_norm_ = std::sqrt(q2_opt_->step(q1_opt_->step()));
 
   if (updates_ < config_.actor_delay_updates) {
     q1_target_.soft_update_from(q1_, config_.tau);
@@ -179,8 +161,7 @@ void Sac::update(const ReplayBuffer& buffer, Rng& rng) {
   for (int i = 0; i < B; ++i) s.dL_dlogp(i, 0) = alpha / B;
 
   actor_.backward(s.dL_da, s.dL_dlogp);
-  last_actor_grad_norm_ = grad_l2_norm(actor_grads_);
-  actor_opt_->step();
+  last_actor_grad_norm_ = std::sqrt(actor_opt_->step());
 
   // ---- Temperature update: minimize -log_alpha * E[logp + target_entropy].
   if (config_.auto_alpha) {

@@ -115,11 +115,6 @@ class Sac {
   mutable Matrix act_obs_;
   mutable Matrix act_mean_;
   mutable PolicySample act_sample_;
-
-  // Gradient pointer lists cached at init() (the networks never move after
-  // that), so per-update grad-norm diagnostics allocate nothing.
-  std::vector<Matrix*> critic_grads_;
-  std::vector<Matrix*> actor_grads_;
 };
 
 }  // namespace adsec

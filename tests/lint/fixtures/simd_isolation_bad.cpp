@@ -1,7 +1,7 @@
-// Fixture: x86 intrinsics leaking outside a dedicated *_avx2 SIMD TU.
-// This file's basename has no "_avx2", so it would be compiled WITHOUT
-// -mavx2 -mfma and must not touch vector intrinsics directly — that is
-// the kernel-table dispatch boundary. Expected findings: 4
+// Fixture: x86 intrinsics leaking outside a dedicated *_avx2 / *_avx512
+// SIMD TU. This file's basename has neither, so it would be compiled
+// WITHOUT a vector ISA and must not touch vector intrinsics directly —
+// that is the kernel-table dispatch boundary. Expected findings: 4
 // (the include plus three intrinsic tokens).
 #include <immintrin.h>
 

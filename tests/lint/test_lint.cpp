@@ -97,6 +97,14 @@ TEST(LintFixtures, NegativeFixturesAreClean) {
   }
 }
 
+// The AVX-512 tier's TU is a SIMD TU too; the widened rule still flags the
+// same leak everywhere else.
+TEST(LintFixtures, IntrinsicsIsolationAdmitsAvx512Tus) {
+  EXPECT_TRUE(lint_fixture("simd_isolation_ok_avx512.cpp").empty());
+  expect_only_rule(lint_fixture("simd_isolation_bad.cpp"),
+                   "intrinsics-isolation", 4);
+}
+
 TEST(LintFixtures, SuppressionsSilenceSameLineAndPreviousLineForms) {
   int suppressed = 0;
   const std::vector<Finding> findings =

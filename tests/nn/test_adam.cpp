@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -148,6 +149,49 @@ TEST(Adam, SetLrTakesEffect) {
   g(0, 0) = 1.0;
   opt.step();
   EXPECT_NEAR(p(0, 0), -0.001, 1e-5);
+}
+
+// Chained steps return the pre-clip sum of squares over both optimizers'
+// gradients with the bits of one serial loop over them, in parameter order,
+// whether or not the clip fires (it rescales the gradients only after they
+// are summed); a lone step returns its own chain from 0.
+TEST(Adam, StepReturnsChainedSumOfSquares) {
+  const std::vector<int> lengths = {5, 269, 64, 3, 17};
+  Rng rng(77);
+  std::vector<std::vector<double>> vals;
+  double serial = 0.0;
+  double first_two = 0.0;
+  for (std::size_t k = 0; k < lengths.size(); ++k) {
+    std::vector<double>& v = vals.emplace_back(static_cast<std::size_t>(lengths[k]));
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      v[i] = grad_value(rng, i);
+      serial += v[i] * v[i];
+    }
+    if (k == 1) first_two = serial;
+  }
+  for (const double clip : {1e300, 0.5}) {
+    ASSERT_EQ(std::sqrt(first_two) > clip, clip < 1.0);
+    std::vector<Matrix> p, g;
+    for (const int n : lengths) {
+      p.emplace_back(1, n);
+      g.emplace_back(1, n);
+    }
+    const auto load = [&] {
+      for (std::size_t k = 0; k < g.size(); ++k) {
+        std::copy(vals[k].begin(), vals[k].end(), g[k].data());
+      }
+    };
+    AdamConfig cfg;
+    cfg.grad_clip = clip;
+    Adam a({&p[0], &p[1]}, {&g[0], &g[1]}, cfg);
+    Adam b({&p[2], &p[3], &p[4]}, {&g[2], &g[3], &g[4]}, cfg);
+    load();
+    const double lone = a.step();
+    EXPECT_TRUE(same_bits(lone, first_two)) << "clip " << clip << ": " << lone;
+    load();
+    const double chained = b.step(a.step());
+    EXPECT_TRUE(same_bits(chained, serial)) << "clip " << clip << ": " << chained;
+  }
 }
 
 // Every tier's Adam kernel reproduces the scalar update bit for bit —

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/serialize.hpp"
+#include "nn/simd.hpp"
 #include "rl/trainer.hpp"
 
 namespace adsec {
@@ -136,6 +141,48 @@ TEST(Sac, DeterministicActIsRepeatable) {
   ASSERT_EQ(a1.size(), 2u);
   EXPECT_DOUBLE_EQ(a1[0], a2[0]);
   EXPECT_DOUBLE_EQ(a1[1], a2[1]);
+}
+
+// A learner's checkpoint after 200 zoo-shaped updates (obs 267, act 2,
+// batch 32, 64 x 64 nets) has the same bytes under the AVX-512 tier as
+// under AVX2: weights, targets, Adam moments and the logged gradient norms.
+TEST(Sac, CheckpointBytesMatchAcrossAvx2AndAvx512) {
+  if (!simd::tier_supported(simd::Tier::Avx2) || !simd::tier_supported(simd::Tier::Avx512)) {
+    GTEST_SKIP() << "needs both the avx2 and the avx512 tier";
+  }
+  struct TierGuard {
+    ~TierGuard() { simd::reset_tier(); }
+  } guard;
+  const auto train = [](simd::Tier tier) {
+    simd::force_tier(tier);
+    SacConfig cfg;
+    cfg.actor_hidden = {64, 64};
+    cfg.critic_hidden = {64, 64};
+    cfg.batch_size = 32;
+    Rng rng(11);
+    Sac sac(267, 2, cfg, rng);
+    ReplayBuffer buf(512, 267, 2);
+    Rng data(12);
+    std::vector<double> obs(267), next(267);
+    for (int i = 0; i < 256; ++i) {
+      for (std::size_t j = 0; j < obs.size(); ++j) {
+        obs[j] = data.uniform(-1.0, 1.0);
+        next[j] = data.uniform(-1.0, 1.0);
+      }
+      const double act[2] = {data.uniform(-1.0, 1.0), data.uniform(-1.0, 1.0)};
+      buf.add(obs, act, data.uniform(), next, i % 50 == 49);
+    }
+    for (int u = 0; u < 200; ++u) sac.update(buf, rng);
+    EXPECT_GT(sac.last_critic_grad_norm(), 0.0);
+    EXPECT_GT(sac.last_actor_grad_norm(), 0.0);
+    BinaryWriter w;
+    sac.save(w);
+    return w.bytes();
+  };
+  const std::vector<std::uint8_t> avx2 = train(simd::Tier::Avx2);
+  const std::vector<std::uint8_t> avx512 = train(simd::Tier::Avx512);
+  ASSERT_EQ(avx512.size(), avx2.size());
+  EXPECT_TRUE(avx512 == avx2) << "checkpoint bytes differ between avx2 and avx512";
 }
 
 }  // namespace

@@ -459,14 +459,18 @@ void rule_include_iostream(const std::string& path,
 // intrinsics-isolation -------------------------------------------------------
 //
 // x86 intrinsics may only live in the dedicated SIMD translation units
-// (basename containing "_avx2", e.g. nn/matrix_avx2.cpp), which are the
-// only TUs compiled with -mavx2 -mfma. An <immintrin.h> include or an
-// _mm*/__m256 token anywhere else would either fail to compile on the
-// portable build or — worse — silently let the compiler emit AVX2 in a TU
-// that must stay runtime-dispatched (the whole point of the kernel table).
+// (basename containing "_avx2" or "_avx512", e.g. nn/matrix_avx2.cpp and
+// nn/matrix_avx512.cpp), which are the only TUs compiled with a vector ISA
+// (-mavx2 -mfma, -mavx512f -mfma). An <immintrin.h> include or an
+// _mm*/__m256/__m512 token anywhere else would either fail to compile on
+// the portable build or — worse — silently let the compiler emit vector
+// code in a TU that must stay runtime-dispatched (the whole point of the
+// kernel table).
 
 bool simd_tu(const std::string& path) {
-  return basename_of(path).find("_avx2") != std::string::npos;
+  const std::string base = basename_of(path);
+  return base.find("_avx2") != std::string::npos ||
+         base.find("_avx512") != std::string::npos;
 }
 
 bool intrinsics_identifier(const std::string& text) {
@@ -483,17 +487,18 @@ void rule_intrinsics_isolation(const std::string& path,
     if (t.kind == TokKind::PpInclude &&
         (t.text == "<immintrin.h>" || t.text == "<x86intrin.h>" ||
          t.text == "<emmintrin.h>" || t.text == "<xmmintrin.h>" ||
-         t.text == "<avxintrin.h>" || t.text == "<avx2intrin.h>")) {
+         t.text == "<avxintrin.h>" || t.text == "<avx2intrin.h>" ||
+         t.text == "<avx512fintrin.h>")) {
       add(out, path, t, "intrinsics-isolation",
           "intrinsics header " + t.text +
-              " outside a dedicated *_avx2 SIMD TU; keep vector code behind "
-              "the nn/kernel_table.hpp dispatch");
+              " outside a dedicated *_avx2 / *_avx512 SIMD TU; keep vector "
+              "code behind the nn/kernel_table.hpp dispatch");
     } else if (t.kind == TokKind::Identifier && intrinsics_identifier(t.text) &&
                !member_or_foreign_qualified(toks, i)) {
       add(out, path, t, "intrinsics-isolation",
           "intrinsic token " + t.text +
-              " outside a dedicated *_avx2 SIMD TU; keep vector code behind "
-              "the nn/kernel_table.hpp dispatch");
+              " outside a dedicated *_avx2 / *_avx512 SIMD TU; keep vector "
+              "code behind the nn/kernel_table.hpp dispatch");
     }
   }
 }
@@ -523,7 +528,7 @@ const std::vector<RuleDesc>& rule_table() {
       {"include-iostream-in-header", "<iostream> included from a header"},
       {"intrinsics-isolation",
        "<immintrin.h>-family includes or _mm*/__m128/__m256/__m512 tokens "
-       "outside a dedicated *_avx2 SIMD TU"},
+       "outside a dedicated *_avx2 / *_avx512 SIMD TU"},
       // Cross-file rules implemented by the semantic pass (semantic.cpp);
       // they ride the same fixture/suppression/report machinery.
       {"unguarded-mutex",
